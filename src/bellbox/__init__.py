@@ -81,6 +81,7 @@ from .runs import (
     simulate,
     tally,
     tally_from_json_dict,
+    tally_run_log,
     tally_to_json_dict,
     write_run_log,
 )

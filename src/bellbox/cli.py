@@ -180,8 +180,7 @@ def _cmd_simulate(ns) -> int:
 
 
 def _cmd_estimate(ns) -> int:
-    log = runs.read_run_log(ns.runs)
-    tally = runs.tally(log)
+    tally = runs.tally_run_log(ns.runs)
     behavior, stderr = runs.estimate(tally)
     document = behavior_to_json_dict(behavior)
     document["stderr"] = stderr.tolist()
@@ -257,9 +256,8 @@ def _cmd_efficiency(ns) -> int:
 
 
 def _cmd_audit(ns) -> int:
-    log = runs.read_run_log(ns.runs)
+    tally = runs.tally_run_log(ns.runs)
     geometry = _parse_geometry(ns.geometry)
-    tally = runs.tally(log)
     locality = runs.locality_audit(geometry)
     randomness = runs.randomness_audit(tally)
     _emit(

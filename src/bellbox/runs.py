@@ -11,10 +11,17 @@ id.  Identical (seed, stream, n_runs, behavior) reproduce the identical
 record stream bit-for-bit within one build; cross-language bit-exactness
 is not promised.  Draw order per simulation: alpha array, beta array,
 outcome uniforms, choice-time uniforms for A, then for B.
+
+Run logs are JSON Lines files, written and parsed a chunk of records at a
+time.  ``tally_run_log`` (behind the CLI's ``estimate`` and ``audit``)
+counts a log in memory that does not grow with its length;
+``read_run_log`` loads the whole log.  Both reject records that break the
+time order above.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -274,85 +281,183 @@ def randomness_audit(t: Tally) -> RandomnessAudit:
 # Run log (JSON Lines) and tally file formats
 # ---------------------------------------------------------------------------
 
-_RECORD_KEYS = {"i", "alpha", "beta", "a", "b", "tca", "tcb", "tr"}
+_RECORD_KEYS = ("i", "alpha", "beta", "a", "b", "tca", "tcb", "tr")
+_RECORD_LINE = '{"i":%d,"alpha":%d,"beta":%d,"a":"%s","b":"%s","tca":%s,"tcb":%s,"tr":%s}\n'
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SYMBOL_CODES = {"+": 0, "-": 1, "0": 2}  # the index of each symbol in every alphabet that has it
+_CHUNK_RECORDS = 1 << 14  # records formatted or parsed per step
 
 
 def write_run_log(log: RunLog, path) -> None:
-    sym_a = log.scenario.outcomes_a.symbols
-    sym_b = log.scenario.outcomes_b.symbols
+    """Write the log as JSON Lines, one compact ``json.dumps`` object per record.
+
+    Records are formatted a chunk at a time from column slices; floats are
+    written as ``repr`` writes them, as ``json.dumps`` does.
+    """
+    sym_a = np.array(log.scenario.outcomes_a.symbols)
+    sym_b = np.array(log.scenario.outcomes_b.symbols)
     with open(path, "w", encoding="utf-8") as handle:
-        for i in range(len(log)):
-            line = {
-                "i": int(log.index[i]),
-                "alpha": int(log.alpha[i]),
-                "beta": int(log.beta[i]),
-                "a": sym_a[int(log.a_index[i])],
-                "b": sym_b[int(log.b_index[i])],
-                "tca": float(log.t_choice_a[i]),
-                "tcb": float(log.t_choice_b[i]),
-                "tr": float(log.t_report[i]),
-            }
-            handle.write(json.dumps(line, separators=(",", ":")) + "\n")
+        for start in range(0, len(log), _CHUNK_RECORDS):
+            part = slice(start, start + _CHUNK_RECORDS)
+            # Report times repeat (simulate writes one value), so each distinct one is formatted
+            # once; they are told apart by their bits, which keeps 0.0 and -0.0 apart.
+            report = np.asarray(log.t_report[part], dtype=np.float64)
+            bits, inverse = np.unique(report.view(np.int64), return_inverse=True)
+            report_texts = _json_floats(bits.view(np.float64))
+            rows = zip(
+                log.index[part].tolist(),
+                log.alpha[part].tolist(),
+                log.beta[part].tolist(),
+                sym_a[log.a_index[part]].tolist(),
+                sym_b[log.b_index[part]].tolist(),
+                _json_floats(log.t_choice_a[part]),
+                _json_floats(log.t_choice_b[part]),
+                [report_texts[k] for k in inverse.tolist()],
+            )
+            handle.write("".join([_RECORD_LINE % row for row in rows]))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    values = np.asarray(values, dtype=np.float64)
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return texts
 
 
 def read_run_log(path) -> RunLog:
-    """Parse a JSON Lines run log; the scenario is inferred from the records.
+    """Parse a JSON Lines run log into memory; the scenario is inferred from the records.
 
     Setting counts are the largest observed index plus one, and a side's
     alphabet is three-symbol exactly when the no-detection symbol appears.
+    Records that break the protocol's time order (choices before t=0,
+    report not before t=0) are schema errors.  The whole log is held as
+    columns; ``tally_run_log``, which the CLI's ``estimate`` and ``audit``
+    use, counts a log in bounded memory instead.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(row, dict) or set(row) != _RECORD_KEYS:
-                raise SchemaError(f"{path}:{lineno}: record fields must be {sorted(_RECORD_KEYS)}")
-            rows.append(row)
-    if not rows:
+    columns = [np.concatenate(parts) for parts in zip(*_parse_run_log(path))]
+    if not columns:
         raise SchemaError(f"{path}: run log contains no records")
+    index, alpha, beta, a_index, b_index, tca, tcb, tr = columns
+    scenario = _infer_scenario(
+        int(alpha.max()) + 1, int(beta.max()) + 1, bool((a_index == 2).any()), bool((b_index == 2).any())
+    )
+    return RunLog(scenario, index, alpha, beta, a_index, b_index, tca, tcb, tr)
+
+
+def tally_run_log(path) -> Tally:
+    """Count a JSON Lines run log chunk by chunk, never holding the whole log.
+
+    Equals ``tally(read_run_log(path))``, with the same checks and the same
+    scenario inference; memory does not grow with the number of runs.
+    """
+    counts = np.zeros((0, 0, 3, 3), dtype=np.int64)  # (alpha, beta, a, b) over all three symbols
+    for _, alpha, beta, a_code, b_code, _, _, _ in _parse_run_log(path):
+        sa = max(counts.shape[0], int(alpha.max()) + 1)
+        sb = max(counts.shape[1], int(beta.max()) + 1)
+        counts = np.pad(counts, ((0, sa - counts.shape[0]), (0, sb - counts.shape[1]), (0, 0), (0, 0)))
+        flat = ((alpha * sb + beta) * 3 + a_code) * 3 + b_code
+        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    if not counts.size:
+        raise SchemaError(f"{path}: run log contains no records")
+    scenario = _infer_scenario(
+        counts.shape[0], counts.shape[1], bool(counts[:, :, 2, :].any()), bool(counts[:, :, :, 2].any())
+    )
+    _, _, ka, kb = scenario.shape
+    return Tally(scenario, counts[:, :, :ka, :kb])
+
+
+def _infer_scenario(settings_a: int, settings_b: int, null_a: bool, null_b: bool) -> Scenario:
+    """A side's alphabet is three-symbol exactly when its no-detection symbol was seen."""
+    alphabets = (Alphabet.PLUS_MINUS, Alphabet.PLUS_MINUS_NULL)
+    return Scenario(settings_a, settings_b, alphabets[null_a], alphabets[null_b])
+
+
+def _parse_run_log(path) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield validated record columns, in ``_RECORD_KEYS`` order, per chunk of lines.
+
+    Symbols come as their ``_SYMBOL_CODES``.  Blank lines are skipped.
+    Beyond the schema, each record must keep the protocol's time order:
+    both choices end before t=0 and the report is not before t=0.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        first_lineno = 1
+        while raw := list(itertools.islice(handle, _CHUNK_RECORDS)):
+            lines = [line for line in map(str.strip, raw) if line]
+            if lines:
+                try:
+                    columns = _parse_chunk(lines)
+                except _RecordFault as fault:
+                    where = path
+                    if fault.k is not None:
+                        linenos = [first_lineno + j for j, line in enumerate(raw) if line.strip()]
+                        where = f"{path}:{linenos[fault.k]}"
+                    raise SchemaError(f"{where}: {fault}") from fault
+                yield columns
+            first_lineno += len(raw)
+
+
+class _RecordFault(Exception):
+    """A fault in a chunk, at nonblank line ``k`` of it when one line is to blame."""
+
+    def __init__(self, message: str, k: int | None = None):
+        super().__init__(message)
+        self.k = k
+
+
+def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
+    """One ``json.loads`` call per chunk; line by line only to find a line that fails."""
+    text = "\n,".join(lines)
+    # Lines hold no newline, so one object per line means every join reads "}\n,{".
+    framed = text.count("}\n,{") == len(lines) - 1 and text[0] == "{" and text[-1] == "}"
     try:
-        index = np.array([int(r["i"]) for r in rows])
-        alpha = np.array([int(r["alpha"]) for r in rows])
-        beta = np.array([int(r["beta"]) for r in rows])
-        sym_a = [str(r["a"]) for r in rows]
-        sym_b = [str(r["b"]) for r in rows]
-        tca = np.array([float(r["tca"]) for r in rows])
-        tcb = np.array([float(r["tcb"]) for r in rows])
-        tr = np.array([float(r["tr"]) for r in rows])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed record value: {exc}") from exc
-    if alpha.min() < 0 or beta.min() < 0:
-        raise SchemaError(f"{path}: negative setting index")
-    scenario = Scenario(
-        int(alpha.max()) + 1,
-        int(beta.max()) + 1,
-        _infer_alphabet(sym_a, path),
-        _infer_alphabet(sym_b, path),
-    )
-    return RunLog(
-        scenario=scenario,
-        index=index,
-        alpha=alpha,
-        beta=beta,
-        a_index=np.array([scenario.outcomes_a.index(s) for s in sym_a]),
-        b_index=np.array([scenario.outcomes_b.index(s) for s in sym_b]),
-        t_choice_a=tca,
-        t_choice_b=tcb,
-        t_report=tr,
-    )
+        rows = json.loads("[" + text + "]") if framed else None
+    except json.JSONDecodeError:
+        rows = None
+    if rows is None or len(rows) != len(lines):
+        rows = [_parse_line(line, k) for k, line in enumerate(lines)]
+    try:
+        fields = [[row[key] for row in rows] for key in _RECORD_KEYS]
+        exact = sum(map(len, rows)) == len(_RECORD_KEYS) * len(rows)
+    except (KeyError, TypeError):
+        exact = False
+    if not exact:
+        bad = next(k for k, row in enumerate(rows) if not isinstance(row, dict) or row.keys() != set(_RECORD_KEYS))
+        raise _RecordFault(f"record fields must be {sorted(_RECORD_KEYS)}", bad)
+    n = len(rows)
+    try:
+        index, alpha, beta = (np.fromiter(fields[k], np.int64, n) for k in range(3))
+        tca, tcb, tr = (np.fromiter(fields[k], np.float64, n) for k in range(5, 8))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _RecordFault(f"malformed record value: {exc}") from exc
+    a_code, b_code = _symbol_codes(fields[3]), _symbol_codes(fields[4])
+    for bad, what in (
+        ((alpha < 0) | (beta < 0), "negative setting index"),
+        (~(tca < 0.0) | ~(tcb < 0.0), "input choices must end before t=0"),
+        (~(tr >= 0.0), "outputs cannot be reported before t=0"),
+    ):
+        if bad.any():
+            raise _RecordFault(what, int(bad.argmax()))
+    return index, alpha, beta, a_code, b_code, tca, tcb, tr
 
 
-def _infer_alphabet(symbols: list[str], path) -> Alphabet:
-    seen = set(symbols)
-    if not seen <= {"+", "-", "0"}:
-        raise SchemaError(f"{path}: unknown outcome symbols {sorted(seen - {'+', '-', '0'})}")
-    return Alphabet.PLUS_MINUS_NULL if "0" in seen else Alphabet.PLUS_MINUS
+def _parse_line(line: str, k: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _RecordFault(f"not valid JSON: {exc}", k) from exc
+
+
+def _symbol_codes(values: list) -> np.ndarray:
+    try:
+        return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
+    except (KeyError, TypeError):
+        # A value whose str() is a symbol (say the number 0) reads as that symbol.
+        values = list(map(str, values))
+        unknown = set(values) - set(_SYMBOL_CODES)
+        if unknown:
+            raise _RecordFault(f"unknown outcome symbols {sorted(unknown)}") from None
+        return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
 
 
 _TALLY_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b", "n", "totals"}

@@ -231,6 +231,27 @@ class TestAudit:
         assert json.loads(stdout)["locality"]["pass"] is False
 
 
+class TestRunLogTimes:
+    @pytest.mark.parametrize("command", ["estimate", "audit"])
+    def test_time_violation_exits_2_naming_line(self, tmp_path, capsys, uniform_file, command):
+        log_path = tmp_path / "runs.jsonl"
+        run_cli(
+            capsys,
+            "simulate", "--behavior", uniform_file, "--runs", "40", "--seed", "4",
+            "--geometry", "400,1e-6", "--out", str(log_path),
+        )
+        lines = log_path.read_text().splitlines()
+        record = json.loads(lines[29])
+        record["tr"] = -1e-6
+        lines[29] = json.dumps(record, separators=(",", ":"))
+        log_path.write_text("\n".join(lines) + "\n")
+        extra = ["--out", str(tmp_path / "est.json")] if command == "estimate" else ["--geometry", "400,1e-6"]
+        code, stdout, err = run_cli(capsys, command, "--runs", str(log_path), *extra)
+        assert code == 2
+        assert stdout == ""
+        assert "runs.jsonl:30: outputs cannot be reported before t=0" in err
+
+
 class TestFlagHandling:
     def test_unknown_flag_rejected(self, capsys, uniform_file):
         code, _, _ = run_cli(capsys, "classify", "--behavior", uniform_file, "--frobnicate", "1")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.stats
 
 import bellbox as bb
+from bellbox import runs
 from bellbox.errors import EmptySettingPair, MixedScenario, SchemaError
 
 S3 = bb.Scenario(3, 3)
@@ -271,6 +273,168 @@ class TestRunLogFiles:
         path.write_text('{"i":0,"alpha":0,"beta":0,"a":"x","b":"-","tca":-1e-7,"tcb":-1e-7,"tr":1e-6}\n')
         with pytest.raises(SchemaError):
             bb.read_run_log(path)
+
+
+def _record_line(i=0, alpha=0, beta=0, a="+", b="-", tca=-1e-7, tcb=-2e-7, tr=1e-6) -> str:
+    fields = {"i": i, "alpha": alpha, "beta": beta, "a": a, "b": b, "tca": tca, "tcb": tcb, "tr": tr}
+    return json.dumps(fields, separators=(",", ":"))
+
+
+def _reference_write_run_log(log: bb.RunLog, path) -> None:
+    """The per-record json.dumps writer the chunked writer must match byte for byte."""
+    sym_a = log.scenario.outcomes_a.symbols
+    sym_b = log.scenario.outcomes_b.symbols
+    with open(path, "w", encoding="utf-8") as handle:
+        for i in range(len(log)):
+            line = {
+                "i": int(log.index[i]),
+                "alpha": int(log.alpha[i]),
+                "beta": int(log.beta[i]),
+                "a": sym_a[int(log.a_index[i])],
+                "b": sym_b[int(log.b_index[i])],
+                "tca": float(log.t_choice_a[i]),
+                "tcb": float(log.t_choice_b[i]),
+                "tr": float(log.t_report[i]),
+            }
+            handle.write(json.dumps(line, separators=(",", ":")) + "\n")
+
+
+def _awkward_times(log: bb.RunLog) -> bb.RunLog:
+    """The log with floats whose shortest repr is long, tiny, signed or not finite."""
+    awkward_choice = np.array([-5e-324, -1e-07, -0.9999999999999999, -1.0000000000000002e-300, -123456.789, -0.1])
+    awkward_report = np.array([1e-06, 0.0, -0.0, 2.5, 1e-06, 1e16, 123456789012345.67, np.inf, np.nan])
+    n = len(log)
+    return bb.RunLog(
+        log.scenario, log.index, log.alpha, log.beta, log.a_index, log.b_index,
+        np.resize(awkward_choice, n),
+        np.resize(awkward_choice[::-1], n),
+        np.resize(awkward_report, n),
+    )
+
+
+class TestRunLogStreaming:
+    @pytest.fixture()
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(runs, "_CHUNK_RECORDS", 3)
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_writer_matches_per_record_json_dumps(self, tmp_path, monkeypatch, ternary, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(runs, "_CHUNK_RECORDS", chunk)
+        behavior = bb.uniform_behavior(S3)
+        if ternary:
+            behavior = bb.apply_fair_sampling(behavior, 0.6, 0.7)
+        log = bb.simulate(behavior, 200, 31, GEOMETRY)
+        for candidate in (log, _awkward_times(log)):
+            bb.write_run_log(candidate, tmp_path / "chunked.jsonl")
+            _reference_write_run_log(candidate, tmp_path / "reference.jsonl")
+            assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+    def test_malformed_line_in_later_chunk_names_its_line(self, tmp_path, small_chunks):
+        lines = [_record_line(i) for i in range(10)]
+        lines.insert(2, "")
+        lines[8] = lines[8][:-1]  # file line 9, in the third chunk
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SchemaError, match=rf"runs\.jsonl:9: not valid JSON"):
+                reader(path)
+
+    def test_record_split_across_lines_rejected(self, tmp_path):
+        # Joined, these two lines would decode as two whole records.
+        first, second = _record_line(0), _record_line(1)
+        cut = second.index('"beta"')
+        path = tmp_path / "runs.jsonl"
+        path.write_text(f"{first},{second[:cut - 1]}\n{second[cut:]}\n")
+        with pytest.raises(SchemaError, match=r"runs\.jsonl:1: not valid JSON"):
+            bb.read_run_log(path)
+
+    def test_two_records_on_one_line_rejected(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(f"{_record_line(0)}\n{_record_line(1)},{_record_line(2)}\n{_record_line(3)}\n")
+        with pytest.raises(SchemaError, match=r"runs\.jsonl:2: not valid JSON"):
+            bb.read_run_log(path)
+
+    def test_blank_lines_skipped(self, tmp_path, small_chunks):
+        log = bb.simulate(bb.uniform_behavior(S3), 20, 5, GEOMETRY)
+        dense = tmp_path / "dense.jsonl"
+        bb.write_run_log(log, dense)
+        lines = dense.read_text().splitlines()
+        sparse = tmp_path / "sparse.jsonl"
+        sparse.write_text("\n  \n" + "\n\n".join(lines) + "\n\t\n\n")
+        back = bb.read_run_log(sparse)
+        for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
+        np.testing.assert_array_equal(bb.tally_run_log(sparse).counts, bb.tally(log).counts)
+
+    def test_late_top_setting_and_null_symbol_infer_whole_file_scenario(self, tmp_path, monkeypatch):
+        lines = [_record_line(i, alpha=i % 2, beta=i % 2) for i in range(9)]
+        lines.append(_record_line(9, alpha=3, beta=1, a="0"))
+        lines.append(_record_line(10, alpha=0, beta=4, b="0"))
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        whole = bb.read_run_log(path).scenario
+        assert whole == bb.Scenario(4, 5, bb.Alphabet.PLUS_MINUS_NULL, bb.Alphabet.PLUS_MINUS_NULL)
+        monkeypatch.setattr(runs, "_CHUNK_RECORDS", 3)
+        assert bb.read_run_log(path).scenario == whole
+        assert bb.tally_run_log(path).scenario == whole
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_streamed_tally_equals_tally_of_read(self, tmp_path, small_chunks, ternary):
+        behavior = bb.uniform_behavior(bb.Scenario(3, 2))
+        if ternary:
+            behavior = bb.apply_fair_sampling(behavior, 0.5, 0.9)
+        path = tmp_path / "runs.jsonl"
+        bb.write_run_log(bb.simulate(behavior, 301, 17, GEOMETRY), path)
+        streamed, whole = bb.tally_run_log(path), bb.tally(bb.read_run_log(path))
+        assert streamed.scenario == whole.scenario
+        np.testing.assert_array_equal(streamed.counts, whole.counts)
+
+    @pytest.mark.parametrize("text", ["", "\n\n  \n\n\n"])
+    def test_empty_file_rejected(self, tmp_path, small_chunks, text):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(text)
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SchemaError, match="no records"):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"tca": 0.0}, "choices must end before"),
+            ({"tcb": 2e-7}, "choices must end before"),
+            ({"tca": float("nan")}, "choices must end before"),
+            ({"tr": -1e-9}, "reported before"),
+        ],
+    )
+    def test_time_invariants_enforced(self, tmp_path, small_chunks, fields, message):
+        lines = [_record_line(i) for i in range(7)]
+        lines[5] = _record_line(5, **fields)
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SchemaError, match=rf"runs\.jsonl:6: .*{message}"):
+                reader(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"i":0,"alpha":0,"beta":0,"a":"+","b":"-","tca":-1e-7,"tcb":-1e-7}', r":2: record fields"),
+            ('[0,0,0,"+","-",-1e-7,-1e-7,1e-6]', r":2: record fields"),
+            (_record_line(1, alpha=None), "malformed record value"),
+            (_record_line(1, beta=1e300), "malformed record value"),
+            (_record_line(1, tr=[1e-6]), "malformed record value"),
+            (_record_line(1, alpha=-1), r":2: negative setting index"),
+            (_record_line(1, b=["-"]), "unknown outcome symbols"),
+        ],
+    )
+    def test_malformed_records_rejected(self, tmp_path, line, message):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(_record_line(0) + "\n" + line + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SchemaError, match=message):
+                reader(path)
 
 
 class TestTallyFile:
