@@ -1,21 +1,32 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Two-phase revised simplex for equality-form linear programs.
 
-Solves  min c'x  subject to  A x = b,  x >= 0  on a dense numpy tableau.
+Solves  min c'x  subject to  A x = b,  x >= 0.  The solver keeps an explicit
+m x m basis inverse and the basic solution, and prices every column straight
+from the caller's A, which it neither copies nor writes: rows with b_i < 0
+are negated through the dual vector and the entering column instead.  Each
+pivot costs at most one m x n vector-matrix product plus O(m^2) work, and
+the working memory beyond A is O(m^2 + n), so the loophole LPs (tens of
+rows, thousands of columns) stay cheap.
+
 Pivot selection follows Bland's smallest-index rule throughout (entering:
 lowest column index with a negative reduced cost; leaving: minimum-ratio
 rows tie-broken by lowest basic-variable index), which rules out cycling
 and makes every solve deterministic.
 
 Phase 1 minimizes the sum of artificial variables.  If its optimum exceeds
-``feas_tol`` the program is infeasible and a certificate vector y with
-y'A <= 0 (up to tolerance) and y'b > 0 is read off the artificial columns
-of the final objective row -- the phase-1 dual, i.e. a Farkas witness of
-infeasibility.  Otherwise remaining basic artificials are pivoted out
-(rows that cannot be pivoted are redundant and dropped) before phase 2
-optimizes the real objective.
+``feas_tol`` the program is infeasible and the phase-1 dual y = c_B B^-1,
+mapped back through the row signs, is a Farkas witness: y'A <= 0 (up to
+tolerance) and y'b > 0.  Otherwise remaining basic artificials are pivoted
+out; one that cannot be (its row is linearly dependent on the others) stays
+basic at zero, and its row takes no part in any later ratio test.  Phase 2
+then optimizes the real objective over the original columns.
 
-Instances in this package stay tiny (tens of rows, at most ~1000 columns),
-so there is no sparse or revised-simplex machinery here on purpose.
+The inverse is updated in place at each pivot and rebuilt from A only when
+the chosen pivot element is small, since that element may be roundoff the
+updates have piled up.  Every optimal point and infeasibility certificate is
+also checked against A before it is returned (the point against A x = b, the
+certificate against y'A <= 0 < y'b), so a basis inverse wrecked by roundoff
+raises ArithmeticError rather than giving a wrong verdict.
 """
 
 from __future__ import annotations
@@ -29,6 +40,19 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
+# Roundoff piles up in the updated basis inverse, and on degenerate LPs an
+# entry that is zero in exact arithmetic can grow past pivot_tol; pivoting on
+# it wrecks the inverse.  So a pivot element below _SMALL_PIVOT is first
+# recomputed from a basis inverse rebuilt from A.
+_SMALL_PIVOT = 1e-6
+# Each answer is also checked against A itself before it is returned.  Sound
+# solves of the package's LPs stay below 1e-10 in every checked quantity; a
+# wrecked inverse misses by many orders of magnitude more.
+_LOST = 1e-7
+# Columns are priced this many at a time, up to the first block that holds an
+# entering column: on the loophole LPs Bland's entering index is mostly in
+# the first tenth of the columns, and a slice of A stays in cache.
+_PRICE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -37,7 +61,8 @@ class SimplexResult:
 
     ``x`` and ``objective`` are set when status is "optimal";
     ``farkas`` is set when status is "infeasible"; ``infeasibility``
-    always carries the phase-1 optimum.
+    always carries the phase-1 optimum.  ``pivots`` counts the pivots of
+    phase 1 (artificials driven out included) and of phase 2.
     """
 
     status: str
@@ -45,6 +70,7 @@ class SimplexResult:
     objective: float | None
     infeasibility: float
     farkas: np.ndarray | None
+    pivots: tuple[int, int]
 
 
 def solve_standard_form(
@@ -59,8 +85,9 @@ def solve_standard_form(
 
     ``cost=None`` means a pure feasibility problem (phase 1 only, then the
     zero objective is trivially optimal at the feasible point found).
+    ``a_eq`` is only read, so a read-only array is passed without a copy.
     """
-    a = np.array(a_eq, dtype=float)
+    a = np.asarray(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).ravel()
     if a.ndim != 2 or a.shape[0] != b.size:
         raise ValueError(f"constraint shapes disagree: A {a.shape}, b {b.shape}")
@@ -69,85 +96,163 @@ def solve_standard_form(
     if c.size != n:
         raise ValueError(f"cost length {c.size} != number of columns {n}")
 
-    # Flip rows so the right-hand side is nonnegative; remember the signs to
-    # map the Farkas certificate back to the caller's row space.
+    # Flip rows so the right-hand side is nonnegative; the signs are applied
+    # to the duals and entering columns, never to A itself.
     signs = np.where(b < 0.0, -1.0, 1.0)
-    a = a * signs[:, None]
-    b = b * signs
+    basis = _Basis(a, signs, b * signs)
 
-    # Phase-1 tableau: [A | I | b] with the reduced-cost row underneath.
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
-    t[:m, -1] = b
-    t[m, :n] = -a.sum(axis=0)
-    t[m, -1] = -b.sum()  # corner holds minus the current objective
-    basis = np.arange(n, n + m)
-
-    status = _iterate(t, basis, n + m, pivot_tol)
+    # Phase 1: unit cost on the artificials, which may also re-enter.
+    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    status, phase1_pivots, y = _iterate(basis, phase1_cost, n + m, pivot_tol)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below by 0
         raise ArithmeticError("phase 1 reported unbounded; numerical breakdown")
-    phase1 = -t[m, -1]
+    phase1 = float(np.sum(basis.x[basis.index >= n]))
     if phase1 > feas_tol:
-        # Reduced cost of artificial i is 1 - y_i, so the dual is read off
-        # the artificial columns of the objective row.
-        y = (1.0 - t[m, n : n + m]) * signs
-        return SimplexResult(INFEASIBLE, None, None, float(phase1), y)
+        if (y @ a).max(initial=0.0) > _LOST or y @ b <= 0.0:
+            raise ArithmeticError("simplex lost accuracy: invalid Farkas certificate")
+        return SimplexResult(INFEASIBLE, None, None, phase1, y, (phase1_pivots, 0))
+    if basis.x.min(initial=0.0) < -_LOST:
+        raise ArithmeticError("simplex lost accuracy: negative basic solution")
 
-    # Pivot leftover basic artificials out on any original column; rows with
-    # no eligible column are linearly dependent on the others and dropped.
-    drop = []
+    # Pivot leftover basic artificials out on any original column; a row with
+    # no eligible column is redundant and is retired from the ratio tests.
     for row in range(m):
-        if basis[row] < n:
+        if basis.index[row] < n:
             continue
-        eligible = np.nonzero(np.abs(t[row, :n]) > pivot_tol)[0]
+        tableau_row = (basis.inv[row] * signs) @ a
+        eligible = np.nonzero((np.abs(tableau_row) > pivot_tol) & basis.nonbasic[:n])[0]
         if eligible.size:
-            _pivot(t, basis, row, int(eligible[0]))
+            q = int(eligible[0])
+            basis.pivot(row, q, basis.column(q))
+            phase1_pivots += 1
         else:
-            drop.append(row)
-    if drop:
-        t = np.delete(t, drop, axis=0)
-        basis = np.delete(basis, drop)
+            basis.live[row] = False
+
+    # Pivoting out an artificial that phase 1 left positive (by at most
+    # feas_tol) can push basic values below zero, and phase 2 keeps them there;
+    # x is checked for sign only when that did not happen.
+    signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    cb = c[basis]
-    t[-1, :n] = c - cb @ t[:-1, :n]
-    t[-1, n:-1] = 0.0  # artificial columns are barred from entering anyway
-    t[-1, -1] = -float(cb @ t[:-1, -1])
-    status = _iterate(t, basis, n, pivot_tol)
+    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), n, pivot_tol)
+    pivots = (phase1_pivots, phase2_pivots)
     if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, float(phase1), None)
+        return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
 
+    real = basis.index < n
+    basic = basis.index[real]
     x = np.zeros(n)
-    x[basis] = t[:-1, -1]
-    return SimplexResult(OPTIMAL, x, float(-t[-1, -1]), float(phase1), None)
+    x[basic] = basis.x[real]
+    # x must solve A x = b as closely as phase 1 claimed, and the duals must
+    # price the basic columns at zero.
+    if (
+        (signed and x.min(initial=0.0) < -_LOST)
+        or np.abs(a @ x - b).max(initial=0.0) > feas_tol + _LOST
+        or np.abs(c[basic] - y @ a[:, basic]).max(initial=0.0) > _LOST
+    ):
+        raise ArithmeticError("simplex lost accuracy: basic solution fails its checks")
+    return SimplexResult(OPTIMAL, x, float(c @ x), phase1, None, pivots)
 
 
-def _iterate(t: np.ndarray, basis: np.ndarray, allowed_cols: int, pivot_tol: float) -> str:
-    for _ in range(_MAX_PIVOTS):
-        reduced = t[-1, :allowed_cols]
-        entering = np.nonzero(reduced < -pivot_tol)[0]
-        if entering.size == 0:
-            return OPTIMAL
-        q = int(entering[0])  # Bland: smallest eligible column index
-        column = t[:-1, q]
-        rows = np.nonzero(column > pivot_tol)[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = t[:-1, -1][rows] / column[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-        p = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index
-        _pivot(t, basis, p, q)
+class _Basis:
+    """Basis inverse B^-1, basic solution x_B and basic indices of the row-signed A.
+
+    Column j < n is ``signs * A[:, j]``; column n + i is the artificial e_i.
+    """
+
+    def __init__(self, a: np.ndarray, signs: np.ndarray, b: np.ndarray):
+        m, self.n = a.shape
+        self.a, self.signs = a, signs
+        self.inv = np.eye(m)
+        self.b = b
+        self.x = b.copy()
+        self.index = np.arange(self.n, self.n + m)
+        self.nonbasic = np.ones(self.n + m, dtype=bool)
+        self.nonbasic[self.index] = False
+        self.live = np.ones(m, dtype=bool)
+
+    def column(self, q: int) -> np.ndarray:
+        if q >= self.n:
+            return self.inv[:, q - self.n].copy()
+        return self.inv @ (self.signs * self.a[:, q])
+
+    def refactor(self) -> None:
+        """Rebuild B^-1 and x_B from A and the basic indices."""
+        real = self.index < self.n
+        basis_matrix = np.zeros_like(self.inv)
+        basis_matrix[:, real] = self.signs[:, None] * self.a[:, self.index[real]]
+        artificial = np.nonzero(~real)[0]
+        basis_matrix[self.index[artificial] - self.n, artificial] = 1.0
+        try:
+            self.inv = np.linalg.inv(basis_matrix)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("simplex lost accuracy: singular basis") from None
+        self.x = self.inv @ self.b
+
+    def pivot(self, p: int, q: int, column: np.ndarray) -> None:
+        inv_p = self.inv[p] / column[p]
+        x_p = self.x[p] / column[p]
+        self.inv -= np.outer(column, inv_p)
+        self.x -= column * x_p
+        self.inv[p] = inv_p
+        self.x[p] = x_p
+        self.nonbasic[self.index[p]] = True
+        self.nonbasic[q] = False
+        self.index[p] = q
+
+
+def _iterate(
+    basis: _Basis, cost: np.ndarray, priced: int, pivot_tol: float
+) -> tuple[str, int, np.ndarray]:
+    """Bland pivots on the first ``priced`` columns until optimal or unbounded;
+    returns the status, the pivot count and the final duals in the caller's
+    row signs."""
+    for pivots in range(_MAX_PIVOTS):
+        duals = (cost[basis.index] @ basis.inv) * basis.signs
+        q = _first_negative(basis, cost, duals, priced, pivot_tol)
+        if q is None:
+            return OPTIMAL, pivots, duals
+        column = basis.column(q)
+        p = _leaving_row(basis, column, pivot_tol)
+        if p is not None and abs(column[p]) < _SMALL_PIVOT:
+            basis.refactor()
+            column = basis.column(q)
+            p = _leaving_row(basis, column, pivot_tol)
+        if p is None:
+            return UNBOUNDED, pivots, duals
+        basis.pivot(p, q, column)
     raise ArithmeticError("simplex pivot limit exceeded")
 
 
-def _pivot(t: np.ndarray, basis: np.ndarray, p: int, q: int) -> None:
-    t[p, :] /= t[p, q]
-    column = t[:, q].copy()
-    column[p] = 0.0
-    t -= np.outer(column, t[p, :])
-    # Crush roundoff drift in the pivot column so it stays a unit vector.
-    t[:, q] = 0.0
-    t[p, q] = 1.0
-    basis[p] = q
+def _leaving_row(basis: _Basis, column: np.ndarray, pivot_tol: float) -> int | None:
+    """Minimum-ratio row for the entering column, or None when it is unbounded."""
+    rows = np.nonzero((column > pivot_tol) & basis.live)[0]
+    if rows.size == 0:
+        return None
+    ratios = basis.x[rows] / column[rows]
+    best = ratios.min()
+    ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
+    return int(ties[np.argmin(basis.index[ties])])  # Bland: smallest basic index
+
+
+def _first_negative(
+    basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int, pivot_tol: float
+) -> int | None:
+    """Bland's entering column: the lowest nonbasic index below ``priced``
+    with a reduced cost below -pivot_tol, or None."""
+    for start, prices in _prices(basis, duals, priced):
+        stop = start + prices.size
+        hits = np.nonzero((cost[start:stop] - prices < -pivot_tol) & basis.nonbasic[start:stop])[0]
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
+def _prices(basis: _Basis, duals: np.ndarray, priced: int):
+    """The duals' price of each of the first ``priced`` columns, as (first
+    column, prices) blocks in column order; artificial n + i prices at y_i."""
+    n = basis.n
+    for start in range(0, min(priced, n), _PRICE_BLOCK):
+        yield start, duals @ basis.a[:, start : start + _PRICE_BLOCK]
+    if priced > n:
+        yield n, (duals * basis.signs)[: priced - n]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import bellbox as bb
 from bellbox import lp
+from bellbox.polytope import _vertex_data
 
 
 def scipy_solve(a, b, c):
@@ -75,6 +77,7 @@ def test_degenerate_cycling_prone_program():
     result = lp.solve_standard_form(a, b, c)
     assert result.status == lp.OPTIMAL
     assert result.objective == pytest.approx(reference.fun, abs=1e-9)
+    assert result.pivots == (5, 1)
 
 
 def test_redundant_rows_are_handled():
@@ -84,6 +87,7 @@ def test_redundant_rows_are_handled():
     result = lp.solve_standard_form(a, b, [1.0, 0.0])
     assert result.status == lp.OPTIMAL
     assert result.objective == pytest.approx(0.0, abs=1e-12)
+    assert result.pivots == (1, 1)  # the redundant row's artificial stays basic
     np.testing.assert_allclose(a @ result.x, b, atol=1e-12)
 
 
@@ -101,3 +105,175 @@ def test_shape_validation():
         lp.solve_standard_form([[1.0, 2.0]], [1.0, 2.0])
     with pytest.raises(ValueError):
         lp.solve_standard_form([[1.0, 2.0]], [1.0], [1.0])
+
+
+def singlet(angles_a, angles_b) -> bb.Behavior:
+    plan = bb.MeasurementPlan.from_degrees(angles_a, angles_b)
+    return bb.behavior_from_state(bb.SINGLET, plan)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every (A, b, result) that lp.solve_standard_form sees while the test runs."""
+    seen = []
+    solve = lp.solve_standard_form
+
+    def spy(a_eq, b_eq, *args, **kwargs):
+        result = solve(a_eq, b_eq, *args, **kwargs)
+        seen.append((np.asarray(a_eq), np.asarray(b_eq), result))
+        return result
+
+    monkeypatch.setattr(lp, "solve_standard_form", spy)
+    return seen
+
+
+def test_pinned_pivot_counts(solves, chained_target):
+    # Per-phase pivot counts of the dense-tableau Bland solver this engine
+    # replaced, on the same LPs: the pivot rule, not just the verdict, is kept.
+    chsh = singlet((0.0, 90.0), (45.0, 135.0))
+    assert bb.construct_loophole_model(chsh, 0.9, "weak") is None
+    assert bb.construct_loophole_model(chained_target, 0.8, "strict") is not None
+    angles = np.random.default_rng(2024).uniform(0.0, 360.0, 8)
+    p = 0.7 * singlet(angles[:4], angles[4:]).p + 0.075
+    assert bb.classify(bb.validate_behavior(bb.Scenario(4, 4), p)).kind == bb.ClassificationKind.LOCAL
+    statuses = [(result.status, result.pivots) for _, _, result in solves]
+    assert statuses == [
+        (lp.INFEASIBLE, (28, 0)),
+        (lp.OPTIMAL, (1008, 0)),
+        (lp.OPTIMAL, (273, 0)),
+    ]
+
+
+def assert_farkas(result, a, b):
+    y = result.farkas
+    assert (y @ a).max() <= 1e-9
+    assert y @ b > 0.0
+
+
+def test_random_programs_agree_with_highs():
+    rng = np.random.default_rng(2718)
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    for trial in range(90):
+        kind = trial % 3
+        m, n = int(rng.integers(2, 9)), int(rng.integers(3, 16))
+        a = rng.normal(size=(m, n))
+        if kind == 0:  # feasible, bounded below by a nonnegative cost
+            b, c = a @ np.abs(rng.normal(size=n)), np.abs(rng.normal(size=n))
+        elif kind == 1:  # feasible, often unbounded
+            b, c = a @ np.abs(rng.normal(size=n)), rng.normal(size=n)
+        else:  # more rows than columns: mostly infeasible
+            a = rng.normal(size=(n + 2, m))
+            b, c = rng.normal(size=n + 2) * 3, rng.normal(size=m)
+        reference = scipy_solve(a, b, c)
+        result = lp.solve_standard_form(a, b, c)
+        expected = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[reference.status]
+        assert result.status == expected, f"trial {trial}"
+        seen[expected] += 1
+        if expected == lp.OPTIMAL:
+            assert result.objective == pytest.approx(reference.fun, abs=1e-9)
+        elif expected == lp.INFEASIBLE:
+            assert_farkas(result, a, b)
+    assert min(seen.values()) >= 5  # every outcome was exercised
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_loophole_programs_agree_with_highs(solves, chained_target, size, mode):
+    target = singlet((0.0, 90.0), (45.0, 135.0)) if size == 2 else chained_target
+    for eta in (0.5, 0.82, 0.95):
+        bb.construct_loophole_model(target, eta, mode)
+    for a, b, result in solves:
+        reference = scipy_solve(a, b, np.zeros(a.shape[1]))
+        assert reference.status in (0, 2)
+        assert result.status == (lp.OPTIMAL if reference.status == 0 else lp.INFEASIBLE)
+        if result.status == lp.INFEASIBLE:
+            assert_farkas(result, a, b)
+    assert {result.status for _, _, result in solves} == {lp.OPTIMAL, lp.INFEASIBLE}
+
+
+def test_read_only_input_accepted_and_caller_arrays_untouched():
+    _, matrix = _vertex_data(bb.Scenario(2, 2))
+    assert not matrix.flags.writeable
+    p = singlet((0.0, 90.0), (45.0, 135.0)).p.ravel()
+    result = lp.solve_standard_form(matrix.T, p)
+    assert result.status == lp.INFEASIBLE
+    assert_farkas(result, matrix.T, p)
+
+    # Negative right-hand sides make the solver flip rows; the caller's
+    # arrays must come back exactly as they went in.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 9))
+    b = a @ np.abs(rng.normal(size=9))
+    c = np.abs(rng.normal(size=9))
+    assert (b < 0).any()
+    copies = a.copy(), b.copy(), c.copy()
+    result = lp.solve_standard_form(a, b, c)
+    assert result.status == lp.OPTIMAL
+    for before, after in zip(copies, (a, b, c)):
+        np.testing.assert_array_equal(before, after)
+
+
+def stall_4x4() -> bb.Behavior:
+    # A noisy singlet whose visibility LP is degenerate enough that roundoff
+    # in the updated basis inverse grows into a 7e-9 pivot element.
+    plan = bb.MeasurementPlan.from_degrees((151.2, 90.0, 63.5, 49.8), (90.2, 133.9, 299.2, 211.3))
+    p = 0.777 * bb.behavior_from_state(bb.SINGLET, plan).p + 0.223 / 4.0
+    return bb.validate_behavior(bb.Scenario(4, 4), p)
+
+
+def test_small_pivot_rebuilds_the_inverse():
+    # HiGHS gives 0.93387677351981; the tableau solver hit its pivot limit.
+    assert bb.local_visibility(stall_4x4()) == pytest.approx(0.9338767735198097, abs=1e-9)
+
+
+def corrupt_inverse_at(monkeypatch, pivot: int) -> None:
+    """Make the given pivot leave a wrong basis inverse, as roundoff can."""
+    calls = []
+    update = lp._Basis.pivot
+
+    def corrupting(basis, p, q, column):
+        update(basis, p, q, column)
+        calls.append(q)
+        if len(calls) == pivot:
+            basis.inv[0] += 0.1
+
+    monkeypatch.setattr(lp._Basis, "pivot", corrupting)
+
+
+@pytest.mark.parametrize("pivot", range(1, 9))
+def test_wrecked_inverse_raises_instead_of_answering(monkeypatch, pivot):
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(5, 10))
+    b = a @ np.abs(rng.normal(size=10))
+    c = np.abs(rng.normal(size=10))
+    assert lp.solve_standard_form(a, b, c).pivots == (5, 3)
+    corrupt_inverse_at(monkeypatch, pivot)
+    with pytest.raises(ArithmeticError, match="lost accuracy"):
+        lp.solve_standard_form(a, b, c)
+
+
+@pytest.mark.parametrize("pivot", range(1, 5))
+def test_wrecked_inverse_gives_no_farkas_certificate(monkeypatch, pivot):
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(9, 4))
+    b = rng.normal(size=9) * 3
+    result = lp.solve_standard_form(a, b)
+    assert (result.status, result.pivots) == (lp.INFEASIBLE, (4, 0))
+    corrupt_inverse_at(monkeypatch, pivot)
+    with pytest.raises(ArithmeticError, match="lost accuracy"):
+        lp.solve_standard_form(a, b)
+
+
+def test_loose_tolerance_accepts_a_slightly_nonlocal_behavior():
+    # CHSH 2.0011: outside the local polytope by less than tol = 0.01.  The
+    # artificial phase 1 leaves positive is pivoted out, which takes some
+    # basic values below zero; that is no loss of accuracy.
+    noisy = 0.7075 * singlet((0.0, 90.0), (45.0, 135.0)).p + 0.2925 / 4.0
+    behavior = bb.validate_behavior(bb.Scenario(2, 2), noisy)
+    assert bb.classify(behavior).kind == bb.ClassificationKind.WEAKLY_NONLOCAL
+    assert bb.classify(behavior, tol=0.01).kind == bb.ClassificationKind.LOCAL
+    _, matrix = _vertex_data(bb.Scenario(2, 2))
+    result = lp.solve_standard_form(matrix.T, noisy.ravel(), feas_tol=0.01)
+    assert result.status == lp.OPTIMAL
+    assert 0.0 < result.infeasibility <= 0.01
+    assert result.x.min() < -1e-7
