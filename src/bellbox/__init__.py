@@ -9,7 +9,6 @@ runs with locality and randomness audits.
 """
 
 from .detection import (
-    DetectorSpec,
     ThresholdResult,
     apply_fair_sampling,
     construct_loophole_model,

@@ -14,15 +14,20 @@ Two pictures of an inefficient detector are implemented side by side:
   be eta for every setting, so from the observable singles and coincidence
   rates it is indistinguishable from a fair-sampling experiment.
 
-:func:`critical_efficiency` bisects the efficiency axis against that
-feasibility to find the threshold below which the loophole can mimic the
-target.
+:func:`critical_efficiency` finds the threshold below which the loophole can
+mimic the target.  Strict mode bisects the efficiency axis against that
+feasibility.  Weak mode is exact: feasibility at eta is linear in
+t = eta^2, and its Charnes-Cooper form is the single LP
+min 1'r s.t. M_coinc r = target, r >= 0, whose optimum is 1/t*.  Either way
+eta=0 needs no LP, since the never-click strategy reproduces an empty
+coincidence block.
 
 The no-detection outcome is always the last outcome index.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -40,6 +45,7 @@ from .polytope import (
     DEFAULT_SIZE_LIMIT,
     DEFAULT_TOL,
     LocalModel,
+    LocalStrategy,
     _check_limit,
     _solution_model,
     _vertex_data,
@@ -51,32 +57,19 @@ BISECT_TOL_DEFAULT = 1e-3
 BISECT_MAX_ITER = 30
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Detector efficiencies per side and the modelling assumption used."""
-
-    eta_a: float
-    eta_b: float
-    mode: Literal["fair_sampling", "strategy_dependent"] = "fair_sampling"
-
-    def __post_init__(self):
-        _check_eta(self.eta_a)
-        _check_eta(self.eta_b)
-        if self.mode not in ("fair_sampling", "strategy_dependent"):
-            raise ValueError(f"unknown detector mode {self.mode!r}")
-
-    @classmethod
-    def symmetric(cls, eta: float, mode: str = "fair_sampling") -> "DetectorSpec":
-        return cls(eta, eta, mode)
-
-
 @dataclass(frozen=True, eq=False)
 class ThresholdResult:
     """Outcome of a critical-efficiency search.
 
-    ``eta_star`` is the midpoint of the final bisection bracket (exactly 1.0
-    for local targets); ``feasible_model`` is the loophole model found at
-    the largest feasible probe.
+    ``eta_star`` is exactly 1.0 for local targets.  In strict mode it is the
+    midpoint of the final bisection bracket, ``feasible_model`` is the
+    loophole model found at the largest feasible probe, and the trace lists
+    every probe in order.  In weak mode ``eta_star`` is the exact threshold
+    eta* from one LP and ``feasible_model`` the loophole model at eta*; the
+    trace is (0, True), (1, False) and the bracket eta* -/+ tol_eta/2
+    (True, False), its upper end clipped at 1.  The bracket's ends are
+    certified, not probed: below eta* the model mixed with the never-click
+    strategy works, and above it the LP's optimum rules every model out.
     """
 
     eta_star: float
@@ -133,19 +126,27 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
     return Behavior(binary, joint / rates[:, :, None, None]), rates
 
 
-def _loophole_lp(
-    target: Behavior, eta: float, mode: ConstraintMode, limit: int | None
-) -> LocalModel | None:
+def _coincidence_block(
+    target: Behavior, limit: int | None
+) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
+    """Three-outcome strategies and the rows of their click-click cells."""
     extended = target.scenario.with_no_click()
     _check_limit(extended, limit)
     strategies, matrix = _vertex_data(extended)
+    sa, sb = target.scenario.settings_a, target.scenario.settings_b
+    cell_table = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)
+    return strategies, matrix[:, cell_table[:, :, :2, :2].ravel()].T
+
+
+def _loophole_lp(
+    target: Behavior, eta: float, mode: ConstraintMode, limit: int | None
+) -> LocalModel | None:
+    strategies, coincidence = _coincidence_block(target, limit)
     n = len(strategies)
     sa, sb = target.scenario.settings_a, target.scenario.settings_b
 
     # Coincidence block: model mass on (a, b) clicks equals eta^2 * target.
-    cell_table = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)
-    coincidence_cells = cell_table[:, :, :2, :2].ravel()
-    rows = [matrix[:, coincidence_cells].T]
+    rows = [coincidence]
     rhs = [eta * eta * target.p.ravel()]
 
     if mode == "strict":
@@ -168,6 +169,15 @@ def _loophole_lp(
     return _solution_model(result.x, strategies)
 
 
+def _check_target(target: Behavior, mode: ConstraintMode) -> None:
+    _require_binary_behavior(target, "loophole target")
+    if mode not in ("strict", "weak"):
+        raise ValueError(f"unknown constraint mode {mode!r}")
+    defect = nonsignalling_defect(target)
+    if defect > DEFAULT_TOL:
+        raise SignallingTarget(f"target defect {defect:.3g} exceeds {DEFAULT_TOL:.0e}")
+
+
 def construct_loophole_model(
     target: Behavior,
     eta: float,
@@ -181,14 +191,30 @@ def construct_loophole_model(
     side's click probability to eta for every setting.  Returns None when
     no such model exists at this efficiency.
     """
-    _require_binary_behavior(target, "loophole target")
     _check_eta(eta)
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"unknown constraint mode {mode!r}")
-    defect = nonsignalling_defect(target)
-    if defect > DEFAULT_TOL:
-        raise SignallingTarget(f"target defect {defect:.3g} exceeds {DEFAULT_TOL:.0e}")
+    _check_target(target, mode)
     return _loophole_lp(target, eta, mode, limit)
+
+
+def _weak_threshold(target: Behavior, tol_eta: float, limit: int | None) -> ThresholdResult:
+    # A weak model at eta is q >= 0 with M_coinc q = eta^2 p and 1'q = 1.
+    # Each strategy clicks on both sides for a setting pair or not, so
+    # 1'r >= 1 whenever M_coinc r = p; r = q / eta^2 turns the largest
+    # feasible eta^2 into 1 / min 1'r, and q = r / 1'r is the model there.
+    strategies, coincidence = _coincidence_block(target, limit)
+    result = lp.solve_standard_form(
+        coincidence, target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL
+    )
+    if result.status != lp.OPTIMAL:  # pragma: no cover - one-cell strategies reach any p
+        raise ArithmeticError(f"weak threshold LP ended {result.status}")
+    model = _solution_model(result.x, strategies)
+    if result.objective <= 1.0 + DEFAULT_TOL:
+        return ThresholdResult(1.0, "weak", model, ((0.0, True), (1.0, True)))
+    eta = math.sqrt(1.0 / result.objective)
+    lo, hi = eta - 0.5 * tol_eta, min(eta + 0.5 * tol_eta, 1.0)
+    while hi - lo > tol_eta:  # roundoff must not widen the bracket
+        lo = math.nextafter(lo, eta)
+    return ThresholdResult(eta, "weak", model, ((0.0, True), (1.0, False), (lo, True), (hi, False)))
 
 
 def critical_efficiency(
@@ -197,31 +223,33 @@ def critical_efficiency(
     tol_eta: float = BISECT_TOL_DEFAULT,
     limit: int | None = DEFAULT_SIZE_LIMIT,
 ) -> ThresholdResult:
-    """Bisect the efficiency threshold below which the loophole works.
+    """The efficiency threshold below which the loophole works.
 
-    Validates the endpoints first: eta=0 is always feasible, and eta=1 is
-    feasible exactly when the target itself is local (then the threshold is
-    1 and no bisection runs).  The bracket is narrowed to ``tol_eta``,
-    capped at 30 iterations.
+    eta=0 is always feasible, through the never-click strategy, and eta=1
+    exactly when the target itself is local (then the threshold is 1).
+    Weak mode solves one LP for the exact threshold and reports a bracket
+    of width ``tol_eta`` around it.  Strict mode probes eta=1 and then
+    bisects the bracket to ``tol_eta``, capped at 30 iterations.
     """
     if not 0.0 < tol_eta <= 0.1:
         raise ValueError(f"tol_eta {tol_eta!r} outside (0, 0.1]")
-    trace: list[tuple[float, bool]] = []
+    _check_target(target, mode)
+    if mode == "weak":
+        return _weak_threshold(target, tol_eta, limit)
+    trace: list[tuple[float, bool]] = [(0.0, True)]
 
     def probe(eta: float) -> LocalModel | None:
         model = construct_loophole_model(target, eta, mode, limit)
         trace.append((eta, model is not None))
         return model
 
-    model_zero = probe(0.0)
-    if model_zero is None:  # pragma: no cover - the never-click strategy always works
-        raise ArithmeticError("loophole LP infeasible at eta=0")
     model_one = probe(1.0)
     if model_one is not None:
         return ThresholdResult(1.0, mode, model_one, tuple(trace))
 
+    never_click = LocalStrategy((2,) * target.scenario.settings_a, (2,) * target.scenario.settings_b)
     lo, hi = 0.0, 1.0
-    best = model_zero
+    best = LocalModel((never_click,), np.ones(1))
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= tol_eta:
             break

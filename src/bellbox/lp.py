@@ -8,10 +8,13 @@ pivot costs at most one m x n vector-matrix product plus O(m^2) work, and
 the working memory beyond A is O(m^2 + n), so the loophole LPs (tens of
 rows, thousands of columns) stay cheap.
 
-Pivot selection follows Bland's smallest-index rule throughout (entering:
-lowest column index with a negative reduced cost; leaving: minimum-ratio
-rows tie-broken by lowest basic-variable index), which rules out cycling
-and makes every solve deterministic.
+Phase 1 picks the entering column by Bland's smallest-index rule (the
+lowest column index with a negative reduced cost).  Phase 2 uses Dantzig's
+rule (the most negative reduced cost, lowest index on ties) and falls back
+to Bland's after ``_STALL`` consecutive degenerate pivots, until the next
+pivot that moves the solution; Bland's rule cannot cycle, so neither can
+the mix.  Both phases take the minimum-ratio leaving row, tie-broken by the
+lowest basic-variable index, so every solve is deterministic.
 
 Phase 1 minimizes the sum of artificial variables.  If its optimum exceeds
 ``feas_tol`` the program is infeasible and the phase-1 dual y = c_B B^-1,
@@ -53,6 +56,11 @@ _LOST = 1e-7
 # entering column: on the loophole LPs Bland's entering index is mostly in
 # the first tenth of the columns, and a slice of A stays in cache.
 _PRICE_BLOCK = 512
+# Phase 2 falls back from Dantzig's to Bland's entering rule after this many
+# degenerate pivots in a row, which rules out cycling.  A pivot is degenerate
+# when its step, x_p / column_p, is at most _STEP_TOL.
+_STALL = 50
+_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,9 @@ def solve_standard_form(
     signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), n, pivot_tol)
+    status, phase2_pivots, y = _iterate(
+        basis, np.concatenate([c, np.zeros(m)]), n, pivot_tol, dantzig=True
+    )
     pivots = (phase1_pivots, phase2_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
@@ -202,14 +212,19 @@ class _Basis:
 
 
 def _iterate(
-    basis: _Basis, cost: np.ndarray, priced: int, pivot_tol: float
+    basis: _Basis, cost: np.ndarray, priced: int, pivot_tol: float, dantzig: bool = False
 ) -> tuple[str, int, np.ndarray]:
-    """Bland pivots on the first ``priced`` columns until optimal or unbounded;
+    """Pivots on the first ``priced`` columns until optimal or unbounded;
     returns the status, the pivot count and the final duals in the caller's
-    row signs."""
+    row signs.  The entering rule is Bland's, or with ``dantzig`` Dantzig's
+    until ``_STALL`` degenerate pivots in a row."""
+    degenerate = 0
     for pivots in range(_MAX_PIVOTS):
         duals = (cost[basis.index] @ basis.inv) * basis.signs
-        q = _first_negative(basis, cost, duals, priced, pivot_tol)
+        if dantzig and degenerate < _STALL:
+            q = _most_negative(basis, cost, duals, priced, pivot_tol)
+        else:
+            q = _first_negative(basis, cost, duals, priced, pivot_tol)
         if q is None:
             return OPTIMAL, pivots, duals
         column = basis.column(q)
@@ -220,6 +235,7 @@ def _iterate(
             p = _leaving_row(basis, column, pivot_tol)
         if p is None:
             return UNBOUNDED, pivots, duals
+        degenerate = degenerate + 1 if basis.x[p] <= _STEP_TOL * column[p] else 0
         basis.pivot(p, q, column)
     raise ArithmeticError("simplex pivot limit exceeded")
 
@@ -246,6 +262,18 @@ def _first_negative(
         if hits.size:
             return start + int(hits[0])
     return None
+
+
+def _most_negative(
+    basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int, pivot_tol: float
+) -> int | None:
+    """Dantzig's entering column: the nonbasic index below ``priced`` with the
+    most negative reduced cost (the lowest such index on ties), if that cost
+    is below -pivot_tol, else None."""
+    reduced = cost[:priced] - duals @ basis.a[:, :priced]  # priced <= n here
+    reduced[~basis.nonbasic[:priced]] = 0.0
+    q = int(np.argmin(reduced))
+    return q if reduced[q] < -pivot_tol else None
 
 
 def _prices(basis: _Basis, duals: np.ndarray, priced: int):

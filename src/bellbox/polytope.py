@@ -218,12 +218,13 @@ def functional_vertex_bounds(
 def _solution_model(
     weights: np.ndarray, strategies: tuple[LocalStrategy, ...]
 ) -> LocalModel:
-    # Solver output hygiene: clamp pivot-roundoff negatives and renormalize
-    # the (already ~1) total so the LocalModel invariants hold exactly.
+    # Solver output hygiene: clamp pivot-roundoff negatives, drop weights of
+    # pure roundoff (at most the 1e-12 LocalModel checks against) and
+    # renormalize, so the LocalModel invariants hold exactly.
     w = np.maximum(weights, 0.0)
     w /= w.sum()
-    keep = np.nonzero(w > 0.0)[0]
-    return LocalModel(tuple(strategies[i] for i in keep), w[keep])
+    keep = np.nonzero(w > 1e-12)[0]
+    return LocalModel(tuple(strategies[i] for i in keep), w[keep] / w[keep].sum())
 
 
 def _membership_lp(

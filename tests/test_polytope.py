@@ -136,6 +136,20 @@ class TestLocalDecomposition:
     def test_uniform_is_local(self):
         assert bb.local_decomposition(bb.uniform_behavior(S3)) is not None
 
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_no_roundoff_weights(self, size):
+        # Sparse mixtures leave degenerate bases, whose basic weights of
+        # 1e-34 to 2e-16 are roundoff of an exact zero.
+        scenario = bb.Scenario(size, size)
+        rng = np.random.default_rng(11 + size)
+        strategies = bb.enumerate_strategies(scenario)
+        for _ in range(20):
+            behavior = bb.model_behavior(random_local_model(rng, strategies), scenario)
+            model = bb.classify(behavior).decomposition
+            assert model.weights.min() > 1e-12
+            reproduced = bb.model_behavior(model, scenario)
+            assert np.abs(reproduced.p - behavior.p).max() <= bb.polytope.DEFAULT_TOL
+
     def test_chained_target_is_not_local(self, chained_target):
         # Cross-check: the chained Wigner value is -1/8, below the local 0.
         value = bb.evaluate_functional(bb.wigner_chained(1, 2, 0), chained_target)
