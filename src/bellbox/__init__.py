@@ -46,7 +46,6 @@ from .polytope import (
     classify,
     enumerate_strategies,
     functional_vertex_bounds,
-    local_decomposition,
     local_model_from_json_dict,
     local_model_to_json_dict,
     local_visibility,
@@ -69,9 +68,7 @@ from .runs import (
     LocalityAudit,
     RandomnessAudit,
     RunLog,
-    RunRecord,
     Tally,
-    empty_tally,
     estimate,
     functional_interval,
     locality_audit,

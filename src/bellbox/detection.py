@@ -41,15 +41,7 @@ from .errors import (
     ZeroCoincidence,
 )
 from .model import Behavior, Scenario, nonsignalling_defect
-from .polytope import (
-    DEFAULT_SIZE_LIMIT,
-    DEFAULT_TOL,
-    LocalModel,
-    LocalStrategy,
-    _check_limit,
-    _solution_model,
-    _vertex_data,
-)
+from .polytope import DEFAULT_TOL, LocalModel, LocalStrategy, _solution_model, _vertex_data
 
 ConstraintMode = Literal["strict", "weak"]
 
@@ -126,22 +118,16 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
     return Behavior(binary, joint / rates[:, :, None, None]), rates
 
 
-def _coincidence_block(
-    target: Behavior, limit: int | None
-) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
+def _coincidence_block(target: Behavior) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
     """Three-outcome strategies and the rows of their click-click cells."""
-    extended = target.scenario.with_no_click()
-    _check_limit(extended, limit)
-    strategies, matrix = _vertex_data(extended)
+    strategies, matrix = _vertex_data(target.scenario.with_no_click())
     sa, sb = target.scenario.settings_a, target.scenario.settings_b
     cell_table = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)
     return strategies, matrix[:, cell_table[:, :, :2, :2].ravel()].T
 
 
-def _loophole_lp(
-    target: Behavior, eta: float, mode: ConstraintMode, limit: int | None
-) -> LocalModel | None:
-    strategies, coincidence = _coincidence_block(target, limit)
+def _loophole_lp(target: Behavior, eta: float, mode: ConstraintMode) -> LocalModel | None:
+    strategies, coincidence = _coincidence_block(target)
     n = len(strategies)
     sa, sb = target.scenario.settings_a, target.scenario.settings_b
 
@@ -179,10 +165,7 @@ def _check_target(target: Behavior, mode: ConstraintMode) -> None:
 
 
 def construct_loophole_model(
-    target: Behavior,
-    eta: float,
-    mode: ConstraintMode = "strict",
-    limit: int | None = DEFAULT_SIZE_LIMIT,
+    target: Behavior, eta: float, mode: ConstraintMode = "strict"
 ) -> LocalModel | None:
     """Local three-outcome model reproducing ``target`` after post-selection.
 
@@ -193,15 +176,15 @@ def construct_loophole_model(
     """
     _check_eta(eta)
     _check_target(target, mode)
-    return _loophole_lp(target, eta, mode, limit)
+    return _loophole_lp(target, eta, mode)
 
 
-def _weak_threshold(target: Behavior, tol_eta: float, limit: int | None) -> ThresholdResult:
+def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # A weak model at eta is q >= 0 with M_coinc q = eta^2 p and 1'q = 1.
     # Each strategy clicks on both sides for a setting pair or not, so
     # 1'r >= 1 whenever M_coinc r = p; r = q / eta^2 turns the largest
     # feasible eta^2 into 1 / min 1'r, and q = r / 1'r is the model there.
-    strategies, coincidence = _coincidence_block(target, limit)
+    strategies, coincidence = _coincidence_block(target)
     result = lp.solve_standard_form(
         coincidence, target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL
     )
@@ -221,7 +204,6 @@ def critical_efficiency(
     target: Behavior,
     mode: ConstraintMode = "strict",
     tol_eta: float = BISECT_TOL_DEFAULT,
-    limit: int | None = DEFAULT_SIZE_LIMIT,
 ) -> ThresholdResult:
     """The efficiency threshold below which the loophole works.
 
@@ -235,11 +217,11 @@ def critical_efficiency(
         raise ValueError(f"tol_eta {tol_eta!r} outside (0, 0.1]")
     _check_target(target, mode)
     if mode == "weak":
-        return _weak_threshold(target, tol_eta, limit)
+        return _weak_threshold(target, tol_eta)
     trace: list[tuple[float, bool]] = [(0.0, True)]
 
     def probe(eta: float) -> LocalModel | None:
-        model = construct_loophole_model(target, eta, mode, limit)
+        model = construct_loophole_model(target, eta, mode)
         trace.append((eta, model is not None))
         return model
 

@@ -55,7 +55,7 @@ class SchemaError(BellBoxError):
 
 
 class SizeLimit(BellBoxError):
-    """Strategy enumeration would exceed the configured cap."""
+    """Strategy enumeration would exceed the cap of 10**6 strategies."""
 
 
 class SignallingInput(BellBoxError):
@@ -80,7 +80,7 @@ class ZeroCoincidence(BellBoxError):
 
 
 class MixedScenario(BellBoxError):
-    """Run records or tallies from different scenarios were combined."""
+    """Counts or run-log indices do not fit the scenario they are tallied in."""
 
 
 class EmptySettingPair(BellBoxError):
@@ -93,4 +93,4 @@ class EmptySettingPair(BellBoxError):
 
 
 class PlanMismatch(BellBoxError):
-    """A measurement plan is inconsistent with the target scenario."""
+    """A measurement plan has no angle on some side."""

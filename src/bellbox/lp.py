@@ -43,8 +43,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
+# Column entries and reduced costs within _PIVOT_TOL of zero count as zero.
+_PIVOT_TOL = 1e-10
 # Roundoff piles up in the updated basis inverse, and on degenerate LPs an
-# entry that is zero in exact arithmetic can grow past pivot_tol; pivoting on
+# entry that is zero in exact arithmetic can grow past _PIVOT_TOL; pivoting on
 # it wrecks the inverse.  So a pivot element below _SMALL_PIVOT is first
 # recomputed from a basis inverse rebuilt from A.
 _SMALL_PIVOT = 1e-6
@@ -81,14 +83,7 @@ class SimplexResult:
     pivots: tuple[int, int]
 
 
-def solve_standard_form(
-    a_eq,
-    b_eq,
-    cost=None,
-    *,
-    feas_tol: float = 1e-9,
-    pivot_tol: float = 1e-10,
-) -> SimplexResult:
+def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> SimplexResult:
     """Solve min cost'x s.t. a_eq x = b_eq, x >= 0.
 
     ``cost=None`` means a pure feasibility problem (phase 1 only, then the
@@ -111,7 +106,7 @@ def solve_standard_form(
 
     # Phase 1: unit cost on the artificials, which may also re-enter.
     phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    status, phase1_pivots, y = _iterate(basis, phase1_cost, n + m, pivot_tol)
+    status, phase1_pivots, y = _iterate(basis, phase1_cost, n + m)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below by 0
         raise ArithmeticError("phase 1 reported unbounded; numerical breakdown")
     phase1 = float(np.sum(basis.x[basis.index >= n]))
@@ -128,7 +123,7 @@ def solve_standard_form(
         if basis.index[row] < n:
             continue
         tableau_row = (basis.inv[row] * signs) @ a
-        eligible = np.nonzero((np.abs(tableau_row) > pivot_tol) & basis.nonbasic[:n])[0]
+        eligible = np.nonzero((np.abs(tableau_row) > _PIVOT_TOL) & basis.nonbasic[:n])[0]
         if eligible.size:
             q = int(eligible[0])
             basis.pivot(row, q, basis.column(q))
@@ -142,9 +137,7 @@ def solve_standard_form(
     signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    status, phase2_pivots, y = _iterate(
-        basis, np.concatenate([c, np.zeros(m)]), n, pivot_tol, dantzig=True
-    )
+    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), n, dantzig=True)
     pivots = (phase1_pivots, phase2_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
@@ -212,7 +205,7 @@ class _Basis:
 
 
 def _iterate(
-    basis: _Basis, cost: np.ndarray, priced: int, pivot_tol: float, dantzig: bool = False
+    basis: _Basis, cost: np.ndarray, priced: int, dantzig: bool = False
 ) -> tuple[str, int, np.ndarray]:
     """Pivots on the first ``priced`` columns until optimal or unbounded;
     returns the status, the pivot count and the final duals in the caller's
@@ -222,17 +215,17 @@ def _iterate(
     for pivots in range(_MAX_PIVOTS):
         duals = (cost[basis.index] @ basis.inv) * basis.signs
         if dantzig and degenerate < _STALL:
-            q = _most_negative(basis, cost, duals, priced, pivot_tol)
+            q = _most_negative(basis, cost, duals, priced)
         else:
-            q = _first_negative(basis, cost, duals, priced, pivot_tol)
+            q = _first_negative(basis, cost, duals, priced)
         if q is None:
             return OPTIMAL, pivots, duals
         column = basis.column(q)
-        p = _leaving_row(basis, column, pivot_tol)
+        p = _leaving_row(basis, column)
         if p is not None and abs(column[p]) < _SMALL_PIVOT:
             basis.refactor()
             column = basis.column(q)
-            p = _leaving_row(basis, column, pivot_tol)
+            p = _leaving_row(basis, column)
         if p is None:
             return UNBOUNDED, pivots, duals
         degenerate = degenerate + 1 if basis.x[p] <= _STEP_TOL * column[p] else 0
@@ -240,9 +233,9 @@ def _iterate(
     raise ArithmeticError("simplex pivot limit exceeded")
 
 
-def _leaving_row(basis: _Basis, column: np.ndarray, pivot_tol: float) -> int | None:
+def _leaving_row(basis: _Basis, column: np.ndarray) -> int | None:
     """Minimum-ratio row for the entering column, or None when it is unbounded."""
-    rows = np.nonzero((column > pivot_tol) & basis.live)[0]
+    rows = np.nonzero((column > _PIVOT_TOL) & basis.live)[0]
     if rows.size == 0:
         return None
     ratios = basis.x[rows] / column[rows]
@@ -251,29 +244,25 @@ def _leaving_row(basis: _Basis, column: np.ndarray, pivot_tol: float) -> int | N
     return int(ties[np.argmin(basis.index[ties])])  # Bland: smallest basic index
 
 
-def _first_negative(
-    basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int, pivot_tol: float
-) -> int | None:
+def _first_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int) -> int | None:
     """Bland's entering column: the lowest nonbasic index below ``priced``
-    with a reduced cost below -pivot_tol, or None."""
+    with a reduced cost below -_PIVOT_TOL, or None."""
     for start, prices in _prices(basis, duals, priced):
         stop = start + prices.size
-        hits = np.nonzero((cost[start:stop] - prices < -pivot_tol) & basis.nonbasic[start:stop])[0]
+        hits = np.nonzero((cost[start:stop] - prices < -_PIVOT_TOL) & basis.nonbasic[start:stop])[0]
         if hits.size:
             return start + int(hits[0])
     return None
 
 
-def _most_negative(
-    basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int, pivot_tol: float
-) -> int | None:
+def _most_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int) -> int | None:
     """Dantzig's entering column: the nonbasic index below ``priced`` with the
     most negative reduced cost (the lowest such index on ties), if that cost
-    is below -pivot_tol, else None."""
+    is below -_PIVOT_TOL, else None."""
     reduced = cost[:priced] - duals @ basis.a[:, :priced]  # priced <= n here
     reduced[~basis.nonbasic[:priced]] = 0.0
     q = int(np.argmin(reduced))
-    return q if reduced[q] < -pivot_tol else None
+    return q if reduced[q] < -_PIVOT_TOL else None
 
 
 def _prices(basis: _Basis, duals: np.ndarray, priced: int):

@@ -98,10 +98,6 @@ class Scenario:
         """Table shape in the canonical (alpha, beta, a, b) order."""
         return (self.settings_a, self.settings_b, self.outcomes_a.size, self.outcomes_b.size)
 
-    def settings(self, side: Side) -> int:
-        _check_side(side)
-        return self.settings_a if side == "A" else self.settings_b
-
     def alphabet(self, side: Side) -> Alphabet:
         _check_side(side)
         return self.outcomes_a if side == "A" else self.outcomes_b
@@ -150,18 +146,12 @@ class Behavior:
             raise NegativeEntry(f"entry {table[idx]!r} at {idx} is negative")
         block_sums = table.sum(axis=(2, 3))
         worst = np.abs(block_sums - 1.0).max()
-        if worst > PROB_ATOL:
+        if not worst <= PROB_ATOL:  # NaN entries fail here too
             idx = np.unravel_index(int(np.abs(block_sums - 1.0).argmax()), block_sums.shape)
             raise BadNormalization(
                 f"block {idx} sums to {block_sums[idx]!r} (off by {worst:.3g})"
             )
         object.__setattr__(self, "p", table)
-
-    def block(self, alpha: int, beta: int) -> np.ndarray:
-        """The outcome table at one setting pair (read-only view)."""
-        _check_setting(alpha, self.scenario.settings_a, "alpha")
-        _check_setting(beta, self.scenario.settings_b, "beta")
-        return self.p[alpha, beta]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,21 +334,53 @@ def relabel_outputs(b: Behavior, side: Side, perm: Sequence[int]) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# Behavior file format (JSON)
+# JSON file formats: the checks behavior, tally and local-model files share
 # ---------------------------------------------------------------------------
 
-_BEHAVIOR_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b", "p"}
+_SCENARIO_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b"}
+
+
+def _check_fields(data, keys: set[str], what: str, ignore: Sequence[str] = ()) -> None:
+    """A ``what`` document is a JSON object with exactly ``keys``, plus any of ``ignore``."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} document must be a JSON object")
+    unknown = set(data) - keys - set(ignore)
+    if unknown:
+        raise SchemaError(f"unknown fields in {what} document: {sorted(unknown)}")
+    missing = keys - set(data)
+    if missing:
+        raise SchemaError(f"missing fields in {what} document: {sorted(missing)}")
+
+
+def _scenario_to_json(scenario: Scenario) -> dict:
+    return {
+        "settings_a": scenario.settings_a,
+        "settings_b": scenario.settings_b,
+        "outcomes_a": list(scenario.outcomes_a.symbols),
+        "outcomes_b": list(scenario.outcomes_b.symbols),
+    }
+
+
+def _scenario_from_json(data: dict, what: str, **arrays) -> tuple:
+    """The scenario of a checked ``what`` document, then each ``key=dtype`` field as an array."""
+    try:
+        scenario = Scenario(
+            int(data["settings_a"]),
+            int(data["settings_b"]),
+            Alphabet.from_symbols(data["outcomes_a"]),
+            Alphabet.from_symbols(data["outcomes_b"]),
+        )
+        return (scenario, *(np.asarray(data[key], dtype=dtype) for key, dtype in arrays.items()))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {what} document: {exc}") from exc
+
+
+_BEHAVIOR_KEYS = _SCENARIO_KEYS | {"p"}
 
 
 def behavior_to_json_dict(b: Behavior) -> dict:
     """Serialize in the documented behavior file schema."""
-    return {
-        "settings_a": b.scenario.settings_a,
-        "settings_b": b.scenario.settings_b,
-        "outcomes_a": list(b.scenario.outcomes_a.symbols),
-        "outcomes_b": list(b.scenario.outcomes_b.symbols),
-        "p": b.p.tolist(),
-    }
+    return {**_scenario_to_json(b.scenario), "p": b.p.tolist()}
 
 
 def behavior_from_json_dict(data: dict, ignore: Sequence[str] = ()) -> Behavior:
@@ -368,22 +390,6 @@ def behavior_from_json_dict(data: dict, ignore: Sequence[str] = ()) -> Behavior:
     (the estimate file adds "stderr" and "totals"); anything else unknown
     raises SchemaError.
     """
-    if not isinstance(data, dict):
-        raise SchemaError("behavior document must be a JSON object")
-    unknown = set(data) - _BEHAVIOR_KEYS - set(ignore)
-    if unknown:
-        raise SchemaError(f"unknown fields in behavior document: {sorted(unknown)}")
-    missing = _BEHAVIOR_KEYS - set(data)
-    if missing:
-        raise SchemaError(f"missing fields in behavior document: {sorted(missing)}")
-    try:
-        scenario = Scenario(
-            int(data["settings_a"]),
-            int(data["settings_b"]),
-            Alphabet.from_symbols(data["outcomes_a"]),
-            Alphabet.from_symbols(data["outcomes_b"]),
-        )
-        table = np.asarray(data["p"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed behavior document: {exc}") from exc
+    _check_fields(data, _BEHAVIOR_KEYS, "behavior", ignore)
+    scenario, table = _scenario_from_json(data, "behavior", p=float)
     return Behavior(scenario, table)

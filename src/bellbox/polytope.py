@@ -27,24 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import (
-    AlphabetMismatch,
-    ScenarioMismatch,
-    SchemaError,
-    SignallingInput,
-    SizeLimit,
-)
+from .errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
 from .model import (
     Behavior,
     BellFunctional,
     Direction,
     Scenario,
-    evaluate_functional,
+    _check_fields,
     nonsignalling_defect,
     uniform_behavior,
 )
 
-DEFAULT_SIZE_LIMIT = 10**6
+# Most deterministic strategies any enumeration, and so any LP, may take.
+STRATEGY_CAP = 10**6
 
 # Feasibility threshold for the membership LP (phase-1 objective), two
 # orders above accumulation error at this problem scale.
@@ -83,7 +78,7 @@ class LocalModel:
             )
         if w.size and w.min() < -1e-12:
             raise SchemaError(f"negative weight {w.min()!r}")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN weights fail here too
             raise SchemaError(f"weights sum to {w.sum()!r}, expected 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -117,17 +112,14 @@ def strategy_count(scenario: Scenario) -> int:
     )
 
 
-def _check_limit(scenario: Scenario, limit: int | None) -> None:
+def enumerate_strategies(scenario: Scenario) -> list[LocalStrategy]:
+    """All deterministic local strategies, lexicographic by f_a then f_b.
+
+    Raises SizeLimit when there are more than ``STRATEGY_CAP`` of them.
+    """
     count = strategy_count(scenario)
-    if limit is not None and count > limit:
-        raise SizeLimit(f"{count} strategies exceed the cap of {limit}")
-
-
-def enumerate_strategies(
-    scenario: Scenario, limit: int | None = DEFAULT_SIZE_LIMIT
-) -> list[LocalStrategy]:
-    """All deterministic local strategies, lexicographic by f_a then f_b."""
-    _check_limit(scenario, limit)
+    if count > STRATEGY_CAP:
+        raise SizeLimit(f"{count} strategies exceed the cap of {STRATEGY_CAP}")
     ka, kb = scenario.outcomes_a.size, scenario.outcomes_b.size
     return [
         LocalStrategy(fa, fb)
@@ -171,8 +163,11 @@ def model_behavior(model: LocalModel, scenario: Scenario) -> Behavior:
 
 @functools.lru_cache(maxsize=32)
 def _vertex_data(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
-    """All strategies plus the matrix of their flattened behavior tables."""
-    strategies = enumerate_strategies(scenario, limit=None)
+    """All strategies plus the matrix of their flattened behavior tables.
+
+    Every LP builds on this, so its enumeration checks the strategy cap for all.
+    """
+    strategies = enumerate_strategies(scenario)
     fa = np.array([s.f_a for s in strategies])  # (n, settings_a)
     fb = np.array([s.f_b for s in strategies])
     ind_a = fa[:, :, None] == np.arange(scenario.outcomes_a.size)  # (n, sa, ka)
@@ -193,22 +188,13 @@ class VertexBounds:
     argmax: LocalStrategy
 
 
-def functional_vertex_bounds(
-    f: BellFunctional,
-    scenario: Scenario | None = None,
-    limit: int | None = DEFAULT_SIZE_LIMIT,
-) -> VertexBounds:
+def functional_vertex_bounds(f: BellFunctional) -> VertexBounds:
     """Brute-force the functional over every deterministic strategy.
 
     By linearity the extrema bound the functional over every LocalModel,
     so this is the oracle for local bounds.
     """
-    if scenario is None:
-        scenario = f.scenario
-    elif scenario != f.scenario:
-        raise ScenarioMismatch("functional was built for a different scenario")
-    _check_limit(scenario, limit)
-    strategies, matrix = _vertex_data(scenario)
+    strategies, matrix = _vertex_data(f.scenario)
     values = matrix @ f.coefficients.ravel()
     imin = int(values.argmin())
     imax = int(values.argmax())
@@ -227,29 +213,12 @@ def _solution_model(
     return LocalModel(tuple(strategies[i] for i in keep), w[keep] / w[keep].sum())
 
 
-def _membership_lp(
-    b: Behavior, tol: float, limit: int | None
-) -> tuple[LocalModel | None, np.ndarray | None]:
-    _check_limit(b.scenario, limit)
+def _membership_lp(b: Behavior, tol: float) -> tuple[LocalModel | None, np.ndarray | None]:
     strategies, matrix = _vertex_data(b.scenario)
     result = lp.solve_standard_form(matrix.T, b.p.ravel(), feas_tol=tol)
     if result.status == lp.INFEASIBLE:
         return None, result.farkas
     return _solution_model(result.x, strategies), None
-
-
-def local_decomposition(
-    b: Behavior, tol: float = DEFAULT_TOL, limit: int | None = DEFAULT_SIZE_LIMIT
-) -> LocalModel | None:
-    """A distribution over deterministic strategies reproducing ``b``, if any.
-
-    Feasibility is declared when the membership LP's phase-1 objective is at
-    most ``tol``; the returned model then reproduces ``b`` within ``tol``
-    per cell.  Returns None when the behavior lies outside the local
-    polytope (use :func:`classify` to also obtain the witness).
-    """
-    model, _ = _membership_lp(b, tol, limit)
-    return model
 
 
 def _witness_from_certificate(b: Behavior, certificate: np.ndarray) -> BellFunctional:
@@ -263,38 +232,43 @@ def _witness_from_certificate(b: Behavior, certificate: np.ndarray) -> BellFunct
     return BellFunctional(b.scenario, coeffs, bound, Direction.AT_LEAST)
 
 
-def classify(
-    b: Behavior, tol: float = DEFAULT_TOL, limit: int | None = DEFAULT_SIZE_LIMIT
-) -> Classification:
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol <= 0.1:
+        raise ValueError(f"tol {tol!r} outside (0, 0.1]")
+
+
+def classify(b: Behavior, tol: float = DEFAULT_TOL) -> Classification:
     """Sort a behavior into signalling / local / weakly nonlocal.
 
     Signalling when the nonsignalling defect exceeds ``tol``; otherwise
-    local iff the membership LP finds a decomposition; otherwise weakly
-    nonlocal, with a witness functional whose value on ``b`` undercuts its
-    brute-force minimum over deterministic strategies.
+    local iff the membership LP finds a decomposition, a distribution over
+    deterministic strategies that reproduces ``b`` within ``tol`` per cell;
+    otherwise weakly nonlocal, with a witness functional whose value on
+    ``b`` undercuts its brute-force minimum over deterministic strategies.
+    ``tol`` must lie in (0, 0.1].
     """
+    _check_tol(tol)
     defect = nonsignalling_defect(b)
     if defect > tol:
         return Classification(ClassificationKind.SIGNALLING, None, None, defect)
-    model, certificate = _membership_lp(b, tol, limit)
+    model, certificate = _membership_lp(b, tol)
     if model is not None:
         return Classification(ClassificationKind.LOCAL, None, model, defect)
     witness = _witness_from_certificate(b, certificate)
     return Classification(ClassificationKind.WEAKLY_NONLOCAL, witness, None, defect)
 
 
-def local_visibility(
-    b: Behavior, tol: float = DEFAULT_TOL, limit: int | None = DEFAULT_SIZE_LIMIT
-) -> float:
+def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
     """Largest v in [0, 1] with v*b + (1-v)*uniform still local.
 
     Single LP with the visibility as an extra variable.  Returns 1 for
     behaviors that are already local; requires a nonsignalling input.
+    ``tol`` must lie in (0, 0.1].
     """
+    _check_tol(tol)
     defect = nonsignalling_defect(b)
     if defect > tol:
         raise SignallingInput(f"nonsignalling defect {defect:.3g} exceeds tol {tol:.3g}")
-    _check_limit(b.scenario, limit)
     _, matrix = _vertex_data(b.scenario)
     n = matrix.shape[0]
     u = uniform_behavior(b.scenario).p.ravel()
@@ -332,14 +306,7 @@ def local_model_to_json_dict(model: LocalModel, scenario: Scenario) -> dict:
 
 def local_model_from_json_dict(data: dict, scenario: Scenario) -> LocalModel:
     """Parse the LocalModel file schema; weights are validated on load."""
-    if not isinstance(data, dict):
-        raise SchemaError("local model document must be a JSON object")
-    unknown = set(data) - _MODEL_KEYS
-    if unknown:
-        raise SchemaError(f"unknown fields in local model document: {sorted(unknown)}")
-    missing = _MODEL_KEYS - set(data)
-    if missing:
-        raise SchemaError(f"missing fields in local model document: {sorted(missing)}")
+    _check_fields(data, _MODEL_KEYS, "local model")
     strategies = []
     for entry in data["strategies"]:
         if not isinstance(entry, dict) or set(entry) != {"fa", "fb"}:

@@ -103,29 +103,14 @@ def _eigenvector_table(angles: Sequence[float]) -> np.ndarray:
     return np.stack([plus, minus], axis=1)
 
 
-def behavior_from_state(
-    state: PureTwoQubitState,
-    plan: MeasurementPlan,
-    scenario: Scenario | None = None,
-) -> Behavior:
+def behavior_from_state(state: PureTwoQubitState, plan: MeasurementPlan) -> Behavior:
     """Joint outcome probabilities of the state under the plan's projectors.
 
-    p(alpha, beta, a, b) = |<v_a(theta_alpha) x v_b(theta_beta) | psi>|^2.
-    The result is a valid nonsignalling behavior on a binary scenario.
+    p(alpha, beta, a, b) = |<v_a(theta_alpha) x v_b(theta_beta) | psi>|^2,
+    on the binary scenario with one setting per angle.  The result is a
+    valid nonsignalling behavior; non-finite angles raise BadNormalization.
     """
-    if scenario is None:
-        scenario = Scenario(len(plan.angles_a), len(plan.angles_b))
-    else:
-        if not scenario.is_binary():
-            raise PlanMismatch("planar qubit measurements produce binary outcomes")
-        if (
-            len(plan.angles_a) != scenario.settings_a
-            or len(plan.angles_b) != scenario.settings_b
-        ):
-            raise PlanMismatch(
-                f"plan has ({len(plan.angles_a)}, {len(plan.angles_b)}) angles for "
-                f"({scenario.settings_a}, {scenario.settings_b}) settings"
-            )
+    scenario = Scenario(len(plan.angles_a), len(plan.angles_b))
     va = _eigenvector_table(plan.angles_a)
     vb = _eigenvector_table(plan.angles_b)
     amp = np.einsum("xai,ybj,ij->xyab", va, vb, state.amplitudes())

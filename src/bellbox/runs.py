@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +35,17 @@ from .errors import (
     ScenarioMismatch,
     SchemaError,
 )
-from .model import Alphabet, Behavior, BellFunctional, Scenario, evaluate_functional
+from .model import (
+    _SCENARIO_KEYS,
+    Alphabet,
+    Behavior,
+    BellFunctional,
+    Scenario,
+    _check_fields,
+    _scenario_from_json,
+    _scenario_to_json,
+    evaluate_functional,
+)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -65,29 +75,9 @@ def locality_audit(g: Geometry) -> LocalityAudit:
     return LocalityAudit(margin > 0.0, margin)
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One experimental run: settings, outcome symbols, timestamps."""
-
-    index: int
-    alpha: int
-    beta: int
-    a: str
-    b: str
-    t_choice_a: float
-    t_choice_b: float
-    t_report: float
-
-    def __post_init__(self):
-        if self.t_choice_a >= 0.0 or self.t_choice_b >= 0.0:
-            raise ValueError("input choices must end before t=0")
-        if self.t_report < 0.0:
-            raise ValueError("outputs cannot be reported before t=0")
-
-
 @dataclass(frozen=True, eq=False)
 class RunLog:
-    """Column-oriented run stream; iterating yields RunRecord values."""
+    """Column-oriented run stream: one array per record field, outcomes as alphabet indices."""
 
     scenario: Scenario
     index: np.ndarray
@@ -101,21 +91,6 @@ class RunLog:
 
     def __len__(self) -> int:
         return self.alpha.size
-
-    def __iter__(self) -> Iterator[RunRecord]:
-        sym_a = self.scenario.outcomes_a.symbols
-        sym_b = self.scenario.outcomes_b.symbols
-        for i in range(len(self)):
-            yield RunRecord(
-                int(self.index[i]),
-                int(self.alpha[i]),
-                int(self.beta[i]),
-                sym_a[int(self.a_index[i])],
-                sym_b[int(self.b_index[i])],
-                float(self.t_choice_a[i]),
-                float(self.t_choice_b[i]),
-                float(self.t_report[i]),
-            )
 
 
 def simulate(b: Behavior, n_runs: int, seed: int, g: Geometry, stream: int = 0) -> RunLog:
@@ -174,46 +149,16 @@ class Tally:
     def totals(self) -> np.ndarray:
         return self.counts.sum(axis=(2, 3))
 
-    def __add__(self, other: "Tally") -> "Tally":
-        if not isinstance(other, Tally):
-            return NotImplemented
-        if self.scenario != other.scenario:
-            raise MixedScenario("cannot add tallies from different scenarios")
-        return Tally(self.scenario, self.counts + other.counts)
 
-
-def empty_tally(scenario: Scenario) -> Tally:
-    return Tally(scenario, np.zeros(scenario.shape, dtype=np.int64))
-
-
-def tally(runs: RunLog | Iterable[RunRecord], scenario: Scenario | None = None) -> Tally:
-    """Aggregate a run stream into counts; order-independent."""
-    if isinstance(runs, RunLog):
-        if scenario is None:
-            scenario = runs.scenario
-        elif scenario != runs.scenario:
-            raise MixedScenario("run log scenario differs from the requested scenario")
-        sa, sb, ka, kb = scenario.shape
-        for values, top in ((runs.alpha, sa), (runs.beta, sb), (runs.a_index, ka), (runs.b_index, kb)):
-            if values.size and (values.min() < 0 or values.max() >= top):
-                raise MixedScenario("run log indices do not fit the scenario")
-        flat = ((runs.alpha * sb + runs.beta) * ka + runs.a_index) * kb + runs.b_index
-        counts = np.bincount(flat, minlength=sa * sb * ka * kb).reshape(scenario.shape)
-        return Tally(scenario, counts)
-
-    if scenario is None:
-        raise ValueError("a scenario is required when tallying a bare record iterable")
-    counts = np.zeros(scenario.shape, dtype=np.int64)
-    for record in runs:
-        if not (0 <= record.alpha < scenario.settings_a and 0 <= record.beta < scenario.settings_b):
-            raise MixedScenario(f"record settings ({record.alpha}, {record.beta}) do not fit the scenario")
-        counts[
-            record.alpha,
-            record.beta,
-            scenario.outcomes_a.index(record.a),
-            scenario.outcomes_b.index(record.b),
-        ] += 1
-    return Tally(scenario, counts)
+def tally(runs: RunLog) -> Tally:
+    """Count a run log's records per (alpha, beta, a, b) in its own scenario."""
+    sa, sb, ka, kb = runs.scenario.shape
+    for values, top in ((runs.alpha, sa), (runs.beta, sb), (runs.a_index, ka), (runs.b_index, kb)):
+        if values.size and (values.min() < 0 or values.max() >= top):
+            raise MixedScenario("run log indices do not fit the scenario")
+    flat = ((runs.alpha * sb + runs.beta) * ka + runs.a_index) * kb + runs.b_index
+    counts = np.bincount(flat, minlength=sa * sb * ka * kb).reshape(runs.scenario.shape)
+    return Tally(runs.scenario, counts)
 
 
 def estimate(t: Tally) -> tuple[Behavior, np.ndarray]:
@@ -460,40 +405,16 @@ def _symbol_codes(values: list) -> np.ndarray:
         return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
 
 
-_TALLY_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b", "n", "totals"}
+_TALLY_KEYS = _SCENARIO_KEYS | {"n", "totals"}
 
 
 def tally_to_json_dict(t: Tally) -> dict:
-    return {
-        "settings_a": t.scenario.settings_a,
-        "settings_b": t.scenario.settings_b,
-        "outcomes_a": list(t.scenario.outcomes_a.symbols),
-        "outcomes_b": list(t.scenario.outcomes_b.symbols),
-        "n": t.counts.tolist(),
-        "totals": t.totals.tolist(),
-    }
+    return {**_scenario_to_json(t.scenario), "n": t.counts.tolist(), "totals": t.totals.tolist()}
 
 
 def tally_from_json_dict(data: dict) -> Tally:
-    if not isinstance(data, dict):
-        raise SchemaError("tally document must be a JSON object")
-    unknown = set(data) - _TALLY_KEYS
-    if unknown:
-        raise SchemaError(f"unknown fields in tally document: {sorted(unknown)}")
-    missing = _TALLY_KEYS - set(data)
-    if missing:
-        raise SchemaError(f"missing fields in tally document: {sorted(missing)}")
-    try:
-        scenario = Scenario(
-            int(data["settings_a"]),
-            int(data["settings_b"]),
-            Alphabet.from_symbols(data["outcomes_a"]),
-            Alphabet.from_symbols(data["outcomes_b"]),
-        )
-        counts = np.asarray(data["n"], dtype=np.int64)
-        totals = np.asarray(data["totals"], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed tally document: {exc}") from exc
+    _check_fields(data, _TALLY_KEYS, "tally")
+    scenario, counts, totals = _scenario_from_json(data, "tally", n=np.int64, totals=np.int64)
     result = Tally(scenario, counts)
     if totals.shape != result.totals.shape or not np.array_equal(totals, result.totals):
         raise SchemaError("tally totals do not equal the block sums")

@@ -46,6 +46,18 @@ class TestQuantum:
         echoed = json.loads(stdout)
         assert echoed["settings_a"] == 3
 
+    def test_nan_angle_rejected(self, tmp_path, capsys):
+        out = tmp_path / "nan.json"
+        code, stdout, err = run_cli(
+            capsys,
+            "quantum", "--state", "singlet", "--angles-a", "nan,90", "--angles-b", "45,135",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: block") and "nan" in err
+        assert not out.exists()
+
     def test_bad_state_spec(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -126,6 +138,18 @@ class TestClassify:
         witness = document["witness"]
         assert witness["margin"] > 0
         assert witness["value"] < witness["reference_bound"]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "0.5"])
+    def test_tol_outside_range_rejected(self, capsys, chained_file, tol):
+        code, stdout, err = run_cli(capsys, "classify", "--behavior", chained_file, "--tol", tol)
+        assert code == 2
+        assert stdout == ""
+        assert "outside (0, 0.1]" in err
+
+    def test_tol_in_range_accepted(self, capsys, chained_file):
+        code, stdout, _ = run_cli(capsys, "classify", "--behavior", chained_file, "--tol", "0.05")
+        assert code == 0
+        assert json.loads(stdout)["kind"] == "WeaklyNonlocal"
 
     def test_missing_file(self, capsys):
         code, stdout, err = run_cli(capsys, "classify", "--behavior", "missing.json")

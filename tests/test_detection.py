@@ -259,8 +259,6 @@ class TestWeakThreshold:
             bb.critical_efficiency(bb.uniform_behavior(S2.with_no_click()), mode="weak")
         with pytest.raises(SignallingTarget):
             bb.critical_efficiency(random_behavior(np.random.default_rng(44), S2), mode="weak")
-        with pytest.raises(bb.BellBoxError):
-            bb.critical_efficiency(singlet4(), mode="weak", limit=1000)
 
 
 def test_strict_trace_keeps_its_probes_without_the_eta_zero_lp(lp_calls, chained_target):

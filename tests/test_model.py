@@ -62,6 +62,13 @@ class TestValidateBehavior:
         with pytest.raises(BadNormalization):
             bb.validate_behavior(S3, table)
 
+    @pytest.mark.parametrize("cells", [(0, 0, 0, 0), Ellipsis])
+    def test_nan_entries_rejected(self, cells):
+        table = np.full(S3.shape, 0.25)
+        table[cells] = np.nan
+        with pytest.raises(BadNormalization):
+            bb.validate_behavior(S3, table)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             bb.validate_behavior(S3, np.full((2, 2, 2, 2), 0.25))

@@ -26,9 +26,31 @@ class TestEnumeration:
         assert strategies[4] == bb.LocalStrategy((0, 1), (0, 0))
         assert strategies[-1] == bb.LocalStrategy((1, 1), (1, 1))
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            bb.enumerate_strategies(S3T, limit=100)
+    def test_size_limit(self, monkeypatch):
+        # One cap for every entry point, checked before a strategy (let alone
+        # a vertex matrix) is built: 2^20 binary 10x10 strategies and 3^14
+        # three-outcome 7x7 ones are both over 10**6.
+        def no_strategies(*args):
+            raise AssertionError("strategies enumerated past the cap")
+
+        monkeypatch.setattr(bb.polytope, "LocalStrategy", no_strategies)
+        assert bb.polytope.STRATEGY_CAP == 10**6
+        s10 = bb.Scenario(10, 10)
+        zero = bb.BellFunctional(s10, np.zeros(s10.shape), 0.0, bb.Direction.AT_LEAST)
+        uniform10 = bb.uniform_behavior(s10)
+        uniform7 = bb.uniform_behavior(bb.Scenario(7, 7))
+        calls = [
+            lambda: bb.enumerate_strategies(s10),
+            lambda: bb.functional_vertex_bounds(zero),
+            lambda: bb.classify(uniform10),
+            lambda: bb.local_visibility(uniform10),
+        ]
+        for mode in ("strict", "weak"):
+            calls.append(lambda mode=mode: bb.construct_loophole_model(uniform7, 0.5, mode))
+            calls.append(lambda mode=mode: bb.critical_efficiency(uniform7, mode))
+        for call in calls:
+            with pytest.raises(SizeLimit, match=r"(1048576|4782969) strategies exceed the cap of 1000000"):
+                call()
 
 
 class TestStrategyBehavior:
@@ -128,13 +150,13 @@ class TestLocalDecomposition:
         for _ in range(50):
             model = random_local_model(rng, strategies)
             behavior = bb.model_behavior(model, S3)
-            recovered = bb.local_decomposition(behavior)
+            recovered = bb.classify(behavior).decomposition
             assert recovered is not None
             reproduced = bb.model_behavior(recovered, S3)
             assert np.abs(reproduced.p - behavior.p).max() <= 1e-8
 
     def test_uniform_is_local(self):
-        assert bb.local_decomposition(bb.uniform_behavior(S3)) is not None
+        assert bb.classify(bb.uniform_behavior(S3)).decomposition is not None
 
     @pytest.mark.parametrize("size", [2, 3, 4])
     def test_no_roundoff_weights(self, size):
@@ -154,10 +176,24 @@ class TestLocalDecomposition:
         # Cross-check: the chained Wigner value is -1/8, below the local 0.
         value = bb.evaluate_functional(bb.wigner_chained(1, 2, 0), chained_target)
         assert value == pytest.approx(-0.125, abs=1e-12)
-        assert bb.local_decomposition(chained_target) is None
+        assert bb.classify(chained_target).decomposition is None
 
 
 class TestClassify:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 0.2])
+    def test_tol_outside_range_rejected(self, tol):
+        uniform = bb.uniform_behavior(S3)
+        with pytest.raises(ValueError, match="outside"):
+            bb.classify(uniform, tol=tol)
+        with pytest.raises(ValueError, match="outside"):
+            bb.local_visibility(uniform, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.01, 0.05, 0.1])
+    def test_tol_in_range_accepted(self, tol):
+        uniform = bb.uniform_behavior(S3)
+        assert bb.classify(uniform, tol=tol).kind is bb.ClassificationKind.LOCAL
+        assert bb.local_visibility(uniform, tol=tol) == 1.0
+
     def test_uniform_local(self):
         verdict = bb.classify(bb.uniform_behavior(S3))
         assert verdict.kind is bb.ClassificationKind.LOCAL
@@ -265,6 +301,13 @@ class TestLocalModelJson:
 
     def test_bad_weights_rejected_on_load(self):
         data = {"strategies": [{"fa": ["+", "+", "+"], "fb": ["+", "+", "+"]}], "weights": [0.7]}
+        with pytest.raises(SchemaError):
+            bb.local_model_from_json_dict(data, S3)
+
+    @pytest.mark.parametrize("weights", [[float("nan")], [0.5, float("nan")]])
+    def test_nan_weights_rejected(self, weights):
+        strategy = {"fa": ["+", "+", "+"], "fb": ["+", "+", "+"]}
+        data = {"strategies": [strategy] * len(weights), "weights": weights}
         with pytest.raises(SchemaError):
             bb.local_model_from_json_dict(data, S3)
 

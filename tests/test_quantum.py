@@ -91,14 +91,9 @@ class TestBehaviorFromState:
             plan = bb.MeasurementPlan(rng.random(3) * 6, rng.random(3) * 6)
             assert bb.nonsignalling_defect(bb.behavior_from_state(state, plan)) <= 1e-12
 
-    def test_plan_mismatch(self):
-        plan = bb.MeasurementPlan((0.0, 1.0), (0.0, 1.0))
+    def test_empty_plan_rejected(self):
         with pytest.raises(PlanMismatch):
-            bb.behavior_from_state(bb.SINGLET, plan, bb.Scenario(3, 3))
-        with pytest.raises(PlanMismatch):
-            bb.behavior_from_state(
-                bb.SINGLET, plan, bb.Scenario(2, 2).with_no_click()
-            )
+            bb.MeasurementPlan((), (0.0,))
 
 
 class TestSingletJoint:
