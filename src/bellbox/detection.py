@@ -46,7 +46,6 @@ from .polytope import DEFAULT_TOL, LocalModel, LocalStrategy, _solution_model, _
 ConstraintMode = Literal["strict", "weak"]
 
 BISECT_TOL_DEFAULT = 1e-3
-BISECT_MAX_ITER = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +210,12 @@ def critical_efficiency(
     exactly when the target itself is local (then the threshold is 1).
     Weak mode solves one LP for the exact threshold and reports a bracket
     of width ``tol_eta`` around it.  Strict mode probes eta=1 and then
-    bisects the bracket to ``tol_eta``, capped at 30 iterations.
+    bisects the bracket to ``tol_eta``.  ``tol_eta`` must lie in
+    [1e-9, 0.1]: at most 30 halvings of [0, 1] reach it, and the bracket
+    ends stay apart in floating point.
     """
-    if not 0.0 < tol_eta <= 0.1:
-        raise ValueError(f"tol_eta {tol_eta!r} outside (0, 0.1]")
+    if not 1e-9 <= tol_eta <= 0.1:
+        raise ValueError(f"tol_eta {tol_eta!r} outside [1e-9, 0.1]")
     _check_target(target, mode)
     if mode == "weak":
         return _weak_threshold(target, tol_eta)
@@ -232,9 +233,7 @@ def critical_efficiency(
     never_click = LocalStrategy((2,) * target.scenario.settings_a, (2,) * target.scenario.settings_b)
     lo, hi = 0.0, 1.0
     best = LocalModel((never_click,), np.ones(1))
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= tol_eta:
-            break
+    while hi - lo > tol_eta:
         mid = 0.5 * (lo + hi)
         model = probe(mid)
         if model is not None:

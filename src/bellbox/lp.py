@@ -2,11 +2,10 @@
 
 Solves  min c'x  subject to  A x = b,  x >= 0.  The solver keeps an explicit
 m x m basis inverse and the basic solution, and prices every column straight
-from the caller's A, which it neither copies nor writes: rows with b_i < 0
-are negated through the dual vector and the entering column instead.  Each
-pivot costs at most one m x n vector-matrix product plus O(m^2) work, and
-the working memory beyond A is O(m^2 + n), so the loophole LPs (tens of
-rows, thousands of columns) stay cheap.
+from the caller's A, which it neither copies nor writes.  Each pivot costs
+at most one m x n vector-matrix product plus O(m^2) work, and the working
+memory beyond A is O(m^2 + n), so the loophole LPs (tens of rows, thousands
+of columns) stay cheap.
 
 Phase 1 picks the entering column by Bland's smallest-index rule (the
 lowest column index with a negative reduced cost).  Phase 2 uses Dantzig's
@@ -16,13 +15,16 @@ pivot that moves the solution; Bland's rule cannot cycle, so neither can
 the mix.  Both phases take the minimum-ratio leaving row, tie-broken by the
 lowest basic-variable index, so every solve is deterministic.
 
-Phase 1 minimizes the sum of artificial variables.  If its optimum exceeds
-``feas_tol`` the program is infeasible and the phase-1 dual y = c_B B^-1,
-mapped back through the row signs, is a Farkas witness: y'A <= 0 (up to
-tolerance) and y'b > 0.  Otherwise remaining basic artificials are pivoted
-out; one that cannot be (its row is linearly dependent on the others) stays
-basic at zero, and its row takes no part in any later ratio test.  Phase 2
-then optimizes the real objective over the original columns.
+Phase 1 minimizes the sum of artificial variables.  Artificial i is the
+column s_i e_i, with s_i the sign of b_i, so the starting basis inverse is
+diag(s), x_B = |b|, and columns and duals come out in the caller's row
+signs.  An artificial that leaves the basis never returns: both phases
+price only the n columns of A.  If the phase-1 optimum exceeds ``feas_tol``
+the program is infeasible and the phase-1 dual y = c_B B^-1 is a Farkas
+witness: y'A <= 0 (up to tolerance) and y'b = c_B x_B > 0.  Otherwise
+remaining basic artificials are pivoted out; one that cannot be (its row is
+linearly dependent on the others) stays basic at zero, and its row takes no
+part in any later ratio test.  Phase 2 then optimizes the real objective.
 
 The inverse is updated in place at each pivot and rebuilt from A only when
 the chosen pivot element is small, since that element may be roundoff the
@@ -99,14 +101,9 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     if c.size != n:
         raise ValueError(f"cost length {c.size} != number of columns {n}")
 
-    # Flip rows so the right-hand side is nonnegative; the signs are applied
-    # to the duals and entering columns, never to A itself.
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    basis = _Basis(a, signs, b * signs)
-
-    # Phase 1: unit cost on the artificials, which may also re-enter.
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    status, phase1_pivots, y = _iterate(basis, phase1_cost, n + m)
+    # Phase 1: unit cost on the artificials, which never re-enter.
+    basis = _Basis(a, b)
+    status, phase1_pivots, y = _iterate(basis, np.concatenate([np.zeros(n), np.ones(m)]))
     if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below by 0
         raise ArithmeticError("phase 1 reported unbounded; numerical breakdown")
     phase1 = float(np.sum(basis.x[basis.index >= n]))
@@ -122,7 +119,7 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     for row in range(m):
         if basis.index[row] < n:
             continue
-        tableau_row = (basis.inv[row] * signs) @ a
+        tableau_row = basis.inv[row] @ a
         eligible = np.nonzero((np.abs(tableau_row) > _PIVOT_TOL) & basis.nonbasic[:n])[0]
         if eligible.size:
             q = int(eligible[0])
@@ -137,7 +134,7 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), n, dantzig=True)
+    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), dantzig=True)
     pivots = (phase1_pivots, phase2_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
@@ -158,34 +155,34 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
 
 
 class _Basis:
-    """Basis inverse B^-1, basic solution x_B and basic indices of the row-signed A.
+    """Basis inverse B^-1, basic solution x_B and basic indices over [A | diag(s)].
 
-    Column j < n is ``signs * A[:, j]``; column n + i is the artificial e_i.
+    Column j < n is ``A[:, j]``; column n + i is the artificial s_i e_i, with
+    s_i the sign of b_i, and once it leaves the basis it never comes back.
     """
 
-    def __init__(self, a: np.ndarray, signs: np.ndarray, b: np.ndarray):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         m, self.n = a.shape
-        self.a, self.signs = a, signs
-        self.inv = np.eye(m)
-        self.b = b
-        self.x = b.copy()
+        self.a, self.b = a, b
+        self.signs = np.where(b < 0.0, -1.0, 1.0)
+        self.inv = np.diag(self.signs)
+        self.x = self.signs * b
         self.index = np.arange(self.n, self.n + m)
         self.nonbasic = np.ones(self.n + m, dtype=bool)
         self.nonbasic[self.index] = False
         self.live = np.ones(m, dtype=bool)
 
     def column(self, q: int) -> np.ndarray:
-        if q >= self.n:
-            return self.inv[:, q - self.n].copy()
-        return self.inv @ (self.signs * self.a[:, q])
+        return self.inv @ self.a[:, q]
 
     def refactor(self) -> None:
         """Rebuild B^-1 and x_B from A and the basic indices."""
         real = self.index < self.n
         basis_matrix = np.zeros_like(self.inv)
-        basis_matrix[:, real] = self.signs[:, None] * self.a[:, self.index[real]]
+        basis_matrix[:, real] = self.a[:, self.index[real]]
         artificial = np.nonzero(~real)[0]
-        basis_matrix[self.index[artificial] - self.n, artificial] = 1.0
+        rows = self.index[artificial] - self.n
+        basis_matrix[rows, artificial] = self.signs[rows]
         try:
             self.inv = np.linalg.inv(basis_matrix)
         except np.linalg.LinAlgError:
@@ -204,20 +201,18 @@ class _Basis:
         self.index[p] = q
 
 
-def _iterate(
-    basis: _Basis, cost: np.ndarray, priced: int, dantzig: bool = False
-) -> tuple[str, int, np.ndarray]:
-    """Pivots on the first ``priced`` columns until optimal or unbounded;
-    returns the status, the pivot count and the final duals in the caller's
-    row signs.  The entering rule is Bland's, or with ``dantzig`` Dantzig's
-    until ``_STALL`` degenerate pivots in a row."""
+def _iterate(basis: _Basis, cost: np.ndarray, dantzig: bool = False) -> tuple[str, int, np.ndarray]:
+    """Pivots on the columns of A until optimal or unbounded; returns the
+    status, the pivot count and the final duals.  The entering rule is
+    Bland's, or with ``dantzig`` Dantzig's until ``_STALL`` degenerate
+    pivots in a row."""
     degenerate = 0
     for pivots in range(_MAX_PIVOTS):
-        duals = (cost[basis.index] @ basis.inv) * basis.signs
+        duals = cost[basis.index] @ basis.inv
         if dantzig and degenerate < _STALL:
-            q = _most_negative(basis, cost, duals, priced)
+            q = _most_negative(basis, cost, duals)
         else:
-            q = _first_negative(basis, cost, duals, priced)
+            q = _first_negative(basis, cost, duals)
         if q is None:
             return OPTIMAL, pivots, duals
         column = basis.column(q)
@@ -244,32 +239,23 @@ def _leaving_row(basis: _Basis, column: np.ndarray) -> int | None:
     return int(ties[np.argmin(basis.index[ties])])  # Bland: smallest basic index
 
 
-def _first_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int) -> int | None:
-    """Bland's entering column: the lowest nonbasic index below ``priced``
-    with a reduced cost below -_PIVOT_TOL, or None."""
-    for start, prices in _prices(basis, duals, priced):
-        stop = start + prices.size
-        hits = np.nonzero((cost[start:stop] - prices < -_PIVOT_TOL) & basis.nonbasic[start:stop])[0]
+def _first_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray) -> int | None:
+    """Bland's entering column: the lowest nonbasic index with a reduced cost
+    below -_PIVOT_TOL, or None."""
+    for start in range(0, basis.n, _PRICE_BLOCK):
+        stop = min(start + _PRICE_BLOCK, basis.n)
+        reduced = cost[start:stop] - duals @ basis.a[:, start:stop]
+        hits = np.nonzero((reduced < -_PIVOT_TOL) & basis.nonbasic[start:stop])[0]
         if hits.size:
             return start + int(hits[0])
     return None
 
 
-def _most_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray, priced: int) -> int | None:
-    """Dantzig's entering column: the nonbasic index below ``priced`` with the
-    most negative reduced cost (the lowest such index on ties), if that cost
-    is below -_PIVOT_TOL, else None."""
-    reduced = cost[:priced] - duals @ basis.a[:, :priced]  # priced <= n here
-    reduced[~basis.nonbasic[:priced]] = 0.0
+def _most_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray) -> int | None:
+    """Dantzig's entering column: the nonbasic index with the most negative
+    reduced cost (the lowest such index on ties), if that cost is below
+    -_PIVOT_TOL, else None."""
+    reduced = cost[: basis.n] - duals @ basis.a
+    reduced[~basis.nonbasic[: basis.n]] = 0.0
     q = int(np.argmin(reduced))
     return q if reduced[q] < -_PIVOT_TOL else None
-
-
-def _prices(basis: _Basis, duals: np.ndarray, priced: int):
-    """The duals' price of each of the first ``priced`` columns, as (first
-    column, prices) blocks in column order; artificial n + i prices at y_i."""
-    n = basis.n
-    for start in range(0, min(priced, n), _PRICE_BLOCK):
-        yield start, duals @ basis.a[:, start : start + _PRICE_BLOCK]
-    if priced > n:
-        yield n, (duals * basis.signs)[: priced - n]

@@ -127,6 +127,11 @@ def _frozen_table(raw, shape, what: str) -> np.ndarray:
     return table
 
 
+def _index(flat, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """A flat index as a tuple of Python ints, which print plainly in messages."""
+    return tuple(int(i) for i in np.unravel_index(int(flat), shape))
+
+
 @dataclass(frozen=True, eq=False)
 class Behavior:
     """A validated conditional probability table over one scenario.
@@ -142,14 +147,14 @@ class Behavior:
     def __post_init__(self):
         table = _frozen_table(self.p, self.scenario.shape, "behavior table")
         if table.min() < -PROB_ATOL:
-            idx = np.unravel_index(int(table.argmin()), table.shape)
-            raise NegativeEntry(f"entry {table[idx]!r} at {idx} is negative")
+            idx = _index(table.argmin(), table.shape)
+            raise NegativeEntry(f"entry {float(table[idx])!r} at {idx} is negative")
         block_sums = table.sum(axis=(2, 3))
         worst = np.abs(block_sums - 1.0).max()
         if not worst <= PROB_ATOL:  # NaN entries fail here too
-            idx = np.unravel_index(int(np.abs(block_sums - 1.0).argmax()), block_sums.shape)
+            idx = _index(np.abs(block_sums - 1.0).argmax(), block_sums.shape)
             raise BadNormalization(
-                f"block {idx} sums to {block_sums[idx]!r} (off by {worst:.3g})"
+                f"block {idx} sums to {float(block_sums[idx])!r} (off by {worst:.3g})"
             )
         object.__setattr__(self, "p", table)
 

@@ -77,9 +77,9 @@ class LocalModel:
                 f"{w.size} weights for {len(self.strategies)} strategies"
             )
         if w.size and w.min() < -1e-12:
-            raise SchemaError(f"negative weight {w.min()!r}")
+            raise SchemaError(f"negative weight {float(w.min())!r}")
         if not abs(w.sum() - 1.0) <= 1e-12:  # NaN weights fail here too
-            raise SchemaError(f"weights sum to {w.sum()!r}, expected 1")
+            raise SchemaError(f"weights sum to {float(w.sum())!r}, expected 1")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -138,14 +138,7 @@ def _check_strategy(strategy: LocalStrategy, scenario: Scenario) -> None:
 
 def strategy_behavior(strategy: LocalStrategy, scenario: Scenario) -> Behavior:
     """The deterministic product behavior of one strategy."""
-    _check_strategy(strategy, scenario)
-    table = np.zeros(scenario.shape)
-    fa = np.asarray(strategy.f_a)
-    fb = np.asarray(strategy.f_b)
-    alphas = np.arange(scenario.settings_a)[:, None]
-    betas = np.arange(scenario.settings_b)[None, :]
-    table[alphas, betas, fa[:, None], fb[None, :]] = 1.0
-    return Behavior(scenario, table)
+    return model_behavior(LocalModel((strategy,), np.ones(1)), scenario)
 
 
 def model_behavior(model: LocalModel, scenario: Scenario) -> Behavior:

@@ -35,7 +35,7 @@ class PureTwoQubitState:
     def __post_init__(self):
         for name in ("c00", "c01", "c10", "c11"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        norm = sum(abs(c) ** 2 for c in self.amplitudes().ravel())
+        norm = float(sum(abs(c) ** 2 for c in self.amplitudes().ravel()))
         if abs(norm - 1.0) > _NORM_ATOL:
             raise ValueError(f"state norm^2 is {norm!r}, expected 1 within {_NORM_ATOL}")
 

@@ -58,6 +58,14 @@ class TestQuantum:
         assert err.startswith("error: block") and "nan" in err
         assert not out.exists()
 
+    def test_nan_angle_message(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "quantum", "--state", "singlet", "--angles-a", "nan,90", "--angles-b", "45,135",
+            "--out", str(tmp_path / "nan.json"),
+        )
+        assert (code, err) == (2, "error: block (0, 0) sums to nan (off by nan)\n")
+
     def test_bad_state_spec(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -82,7 +90,8 @@ class TestSimulateEstimate:
         )
         assert code == 0
         assert json.loads(stdout)["runs"] == 5000
-        assert sum(1 for _ in log_path.open()) == 5000
+        with log_path.open() as lines:
+            assert sum(1 for _ in lines) == 5000
 
         est_path = tmp_path / "est.json"
         code, stdout, _ = run_cli(capsys, "estimate", "--runs", str(log_path), "--out", str(est_path))
@@ -225,6 +234,15 @@ class TestEfficiency:
         )
         assert code == 0
         assert json.loads(stdout)["eta_star"] == 1.0
+
+    def test_tol_eta_below_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "u2.json"
+        path.write_text(json.dumps(bb.behavior_to_json_dict(bb.uniform_behavior(bb.Scenario(2, 2)))))
+        code, stdout, stderr = run_cli(
+            capsys, "efficiency", "--target", str(path), "--tol-eta", "1e-10"
+        )
+        assert (code, stdout) == (2, "")
+        assert "tol_eta 1e-10 outside [1e-9, 0.1]" in stderr
 
 
 class TestAudit:

@@ -191,6 +191,20 @@ class TestCriticalEfficiency:
         with pytest.raises(ValueError):
             bb.critical_efficiency(chained_target, tol_eta=0.0)
 
+    @pytest.mark.parametrize("mode", ["strict", "weak"])
+    @pytest.mark.parametrize("tol_eta", [1e-10, 1e-300])
+    def test_tol_eta_below_range(self, mode, tol_eta):
+        with pytest.raises(ValueError, match=r"outside \[1e-9, 0.1\]"):
+            bb.critical_efficiency(tsirelson_target(), mode=mode, tol_eta=tol_eta)
+
+    @pytest.mark.parametrize("mode", ["strict", "weak"])
+    def test_finest_tol_eta_keeps_the_bracket(self, mode):
+        result = bb.critical_efficiency(tsirelson_target(), mode=mode, tol_eta=1e-9)
+        lo = max(eta for eta, ok in result.bisection_trace if ok)
+        hi = min(eta for eta, ok in result.bisection_trace if not ok)
+        assert 0.0 < hi - lo <= 1e-9
+        assert lo < result.eta_star < hi
+
     def test_threshold_json(self):
         result = bb.critical_efficiency(bb.uniform_behavior(S2))
         data = bb.threshold_to_json_dict(result)

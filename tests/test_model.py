@@ -69,6 +69,16 @@ class TestValidateBehavior:
         with pytest.raises(BadNormalization):
             bb.validate_behavior(S3, table)
 
+    def test_messages_print_plain_numbers(self):
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[0, 0, 1, 1], table[0, 0, 0, 0] = -0.3, 0.8
+        with pytest.raises(NegativeEntry) as negative:
+            bb.validate_behavior(bb.Scenario(2, 2), table)
+        assert str(negative.value) == "entry -0.3 at (0, 0, 1, 1) is negative"
+        with pytest.raises(BadNormalization) as unnormalized:
+            bb.validate_behavior(bb.Scenario(2, 2), np.full((2, 2, 2, 2), np.nan))
+        assert str(unnormalized.value) == "block (0, 0) sums to nan (off by nan)"
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             bb.validate_behavior(S3, np.full((2, 2, 2, 2), 0.25))

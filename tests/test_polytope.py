@@ -110,6 +110,13 @@ class TestModelBehavior:
         with pytest.raises(SchemaError):
             bb.LocalModel((strategy, strategy), np.array([1.5, -0.5]))
 
+    def test_weight_messages_print_plain_numbers(self):
+        strategy = bb.LocalStrategy((0, 0, 0), (0, 0, 0))
+        with pytest.raises(SchemaError, match=r"^weights sum to 0\.5, expected 1$"):
+            bb.LocalModel((strategy,), np.array([0.5]))
+        with pytest.raises(SchemaError, match=r"^negative weight -0\.5$"):
+            bb.LocalModel((strategy, strategy), np.array([1.5, -0.5]))
+
 
 class TestVertexBounds:
     def test_wigner_literal_min(self):

@@ -37,6 +37,11 @@ class TestStates:
         with pytest.raises(ValueError):
             bb.PureTwoQubitState(1.0, 1.0, 0.0, 0.0)
 
+    def test_unnormalized_message(self):
+        with pytest.raises(ValueError) as error:
+            bb.PureTwoQubitState(1, 1, 0, 0)
+        assert str(error.value) == "state norm^2 is 2.0, expected 1 within 1e-12"
+
     def test_parse_state_spec(self):
         assert bb.parse_state_spec("singlet") == bb.SINGLET
         assert bb.parse_state_spec("phi_plus") == bb.PHI_PLUS
