@@ -183,6 +183,9 @@ def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # Each strategy clicks on both sides for a setting pair or not, so
     # 1'r >= 1 whenever M_coinc r = p; r = q / eta^2 turns the largest
     # feasible eta^2 into 1 / min 1'r, and q = r / 1'r is the model there.
+    # The strategies that click at one setting per side are unit columns of
+    # M_coinc, so r = p on them is the solver's starting basis: phase 1 makes
+    # no pivot.
     strategies, coincidence = _coincidence_block(target)
     result = lp.solve_standard_form(
         coincidence, target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL

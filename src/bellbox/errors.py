@@ -55,7 +55,7 @@ class SchemaError(BellBoxError):
 
 
 class SizeLimit(BellBoxError):
-    """Strategy enumeration would exceed the cap of 10**6 strategies."""
+    """An input exceeds a size cap: 10**6 strategies, or 2**16 setting pairs in a run log."""
 
 
 class SignallingInput(BellBoxError):

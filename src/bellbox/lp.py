@@ -15,13 +15,18 @@ pivot that moves the solution; Bland's rule cannot cycle, so neither can
 the mix.  Both phases take the minimum-ratio leaving row, tie-broken by the
 lowest basic-variable index, so every solve is deterministic.
 
-Phase 1 minimizes the sum of artificial variables.  Artificial i is the
-column s_i e_i, with s_i the sign of b_i, so the starting basis inverse is
-diag(s), x_B = |b|, and columns and duals come out in the caller's row
-signs.  An artificial that leaves the basis never returns: both phases
-price only the n columns of A.  If the phase-1 optimum exceeds ``feas_tol``
-the program is infeasible and the phase-1 dual y = c_B B^-1 is a Farkas
-witness: y'A <= 0 (up to tolerance) and y'b = c_B x_B > 0.  Otherwise
+Phase 1 starts from a crash basis (Bixby, ORSA J. Comput. 4:267, 1992):
+row i takes the lowest column of A whose only nonzero entry is a_ij, with
+b_i / a_ij >= 0, and every other row its artificial s_i e_i, s_i the sign
+of b_i.  So the starting basis is diagonal, x_B = b_i / a_ij or |b_i|, and
+columns and duals come out in the caller's row signs.  Phase 1 minimizes
+the sum of the artificials left, so an LP whose rows all crash (such as the
+weak loophole threshold LP, whose one-cell strategies are unit columns)
+takes no phase-1 pivot.  An artificial that leaves the basis never returns:
+both phases price only the n columns of A.  If the phase-1 optimum exceeds
+``feas_tol`` the program is infeasible and the phase-1 dual y = c_B B^-1 is
+a Farkas witness: y'A <= 0 (up to tolerance) and y'b = c_B x_B > 0, since
+crash columns cost nothing and price at zero.  Otherwise
 remaining basic artificials are pivoted out; one that cannot be (its row is
 linearly dependent on the others) stays basic at zero, and its row takes no
 part in any later ratio test.  Phase 2 then optimizes the real objective.
@@ -159,15 +164,27 @@ class _Basis:
 
     Column j < n is ``A[:, j]``; column n + i is the artificial s_i e_i, with
     s_i the sign of b_i, and once it leaves the basis it never comes back.
+    The starting basis is the crash basis: the artificial of row i only
+    where no unit column of A can start basic in row i at x_i >= 0.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         m, self.n = a.shape
         self.a, self.b = a, b
         self.signs = np.where(b < 0.0, -1.0, 1.0)
-        self.inv = np.diag(self.signs)
-        self.x = self.signs * b
+        diagonal = self.signs.copy()
         self.index = np.arange(self.n, self.n + m)
+        # Crash: a column of A whose one nonzero a_ij has b_i / a_ij >= 0
+        # replaces artificial i, the lowest such column per row.
+        (unit,) = np.nonzero(np.count_nonzero(a, axis=0) == 1)
+        _, rows = np.nonzero(a[:, unit].T)
+        entries = a[rows, unit]
+        fits = b[rows] / entries >= 0.0
+        rows, first = np.unique(rows[fits], return_index=True)
+        self.index[rows] = unit[fits][first]
+        diagonal[rows] = entries[fits][first]
+        self.inv = np.diag(1.0 / diagonal)
+        self.x = b / diagonal
         self.nonbasic = np.ones(self.n + m, dtype=bool)
         self.nonbasic[self.index] = False
         self.live = np.ones(m, dtype=bool)

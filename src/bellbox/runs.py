@@ -34,6 +34,7 @@ from .errors import (
     MixedScenario,
     ScenarioMismatch,
     SchemaError,
+    SizeLimit,
 )
 from .model import (
     _SCENARIO_KEYS,
@@ -231,6 +232,9 @@ _RECORD_LINE = '{"i":%d,"alpha":%d,"beta":%d,"a":"%s","b":"%s","tca":%s,"tcb":%s
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _SYMBOL_CODES = {"+": 0, "-": 1, "0": 2}  # the index of each symbol in every alphabet that has it
 _CHUNK_RECORDS = 1 << 14  # records formatted or parsed per step
+# Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
+# name; it caps the count array of a read log at 4.7 MB.
+SETTING_PAIR_CAP = 1 << 16
 
 
 def write_run_log(log: RunLog, path) -> None:
@@ -275,6 +279,8 @@ def read_run_log(path) -> RunLog:
 
     Setting counts are the largest observed index plus one, and a side's
     alphabet is three-symbol exactly when the no-detection symbol appears.
+    A log that names more than ``SETTING_PAIR_CAP`` setting pairs raises
+    SizeLimit.
     Records that break the protocol's time order (choices before t=0,
     report not before t=0) are schema errors.  The whole log is held as
     columns; ``tally_run_log``, which the CLI's ``estimate`` and ``audit``
@@ -284,9 +290,8 @@ def read_run_log(path) -> RunLog:
     if not columns:
         raise SchemaError(f"{path}: run log contains no records")
     index, alpha, beta, a_index, b_index, tca, tcb, tr = columns
-    scenario = _infer_scenario(
-        int(alpha.max()) + 1, int(beta.max()) + 1, bool((a_index == 2).any()), bool((b_index == 2).any())
-    )
+    sa, sb = _setting_grid(path, (0, 0), alpha, beta)
+    scenario = _infer_scenario(sa, sb, bool((a_index == 2).any()), bool((b_index == 2).any()))
     return RunLog(scenario, index, alpha, beta, a_index, b_index, tca, tcb, tr)
 
 
@@ -298,8 +303,7 @@ def tally_run_log(path) -> Tally:
     """
     counts = np.zeros((0, 0, 3, 3), dtype=np.int64)  # (alpha, beta, a, b) over all three symbols
     for _, alpha, beta, a_code, b_code, _, _, _ in _parse_run_log(path):
-        sa = max(counts.shape[0], int(alpha.max()) + 1)
-        sb = max(counts.shape[1], int(beta.max()) + 1)
+        sa, sb = _setting_grid(path, counts.shape[:2], alpha, beta)
         counts = np.pad(counts, ((0, sa - counts.shape[0]), (0, sb - counts.shape[1]), (0, 0), (0, 0)))
         flat = ((alpha * sb + beta) * 3 + a_code) * 3 + b_code
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
@@ -310,6 +314,15 @@ def tally_run_log(path) -> Tally:
     )
     _, _, ka, kb = scenario.shape
     return Tally(scenario, counts[:, :, :ka, :kb])
+
+
+def _setting_grid(path, seen: tuple[int, int], alpha: np.ndarray, beta: np.ndarray) -> tuple[int, int]:
+    """Setting counts that cover ``seen`` and the records' indices, within ``SETTING_PAIR_CAP``."""
+    sa = max(seen[0], int(alpha.max()) + 1)
+    sb = max(seen[1], int(beta.max()) + 1)
+    if sa * sb > SETTING_PAIR_CAP:
+        raise SizeLimit(f"{path}: {sa} x {sb} settings exceed the cap of {SETTING_PAIR_CAP} setting pairs")
+    return sa, sb
 
 
 def _infer_scenario(settings_a: int, settings_b: int, null_a: bool, null_b: bool) -> Scenario:

@@ -294,6 +294,17 @@ class TestRunLogTimes:
         assert "runs.jsonl:30: outputs cannot be reported before t=0" in err
 
 
+    @pytest.mark.parametrize("command", ["estimate", "audit"])
+    def test_huge_setting_index_exits_2_before_allocating(self, tmp_path, capsys, command):
+        # One record naming alpha 2,000,000 once cost a 289 MB count array.
+        log_path = tmp_path / "runs.jsonl"
+        log_path.write_text('{"i":0,"alpha":2000000,"beta":0,"a":"+","b":"-","tca":-1e-7,"tcb":-1e-7,"tr":1e-6}\n')
+        extra = ["--out", str(tmp_path / "est.json")] if command == "estimate" else ["--geometry", "400,1e-6"]
+        code, stdout, err = run_cli(capsys, command, "--runs", str(log_path), *extra)
+        assert (code, stdout) == (2, "")
+        assert "runs.jsonl: 2000001 x 1 settings exceed the cap of 65536 setting pairs" in err
+
+
 class TestFlagHandling:
     def test_unknown_flag_rejected(self, capsys, uniform_file):
         code, _, _ = run_cli(capsys, "classify", "--behavior", uniform_file, "--frobnicate", "1")

@@ -7,7 +7,7 @@ import scipy.stats
 
 import bellbox as bb
 from bellbox import runs
-from bellbox.errors import EmptySettingPair, MixedScenario, SchemaError
+from bellbox.errors import EmptySettingPair, MixedScenario, SchemaError, SizeLimit
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -395,6 +395,22 @@ class TestRunLogStreaming:
         path.write_text("\n".join(lines) + "\n")
         for reader in (bb.read_run_log, bb.tally_run_log):
             with pytest.raises(SchemaError, match=rf"runs\.jsonl:6: .*{message}"):
+                reader(path)
+
+    def test_setting_pair_cap(self, tmp_path, small_chunks):
+        # Every setting pair of a log costs a block of the count array, so the
+        # grid is checked before the array grows, across chunks too.
+        path = tmp_path / "runs.jsonl"
+        lines = [_record_line(i) for i in range(4)]
+        lines[1] = _record_line(1, alpha=255)
+        lines[3] = _record_line(3, beta=255)
+        path.write_text("\n".join(lines) + "\n")
+        assert bb.read_run_log(path).scenario.shape[:2] == (256, 256)
+        assert bb.tally_run_log(path).counts.shape[:2] == (256, 256)
+        lines[3] = _record_line(3, beta=256)
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SizeLimit, match="256 x 257 settings exceed the cap of 65536"):
                 reader(path)
 
     @pytest.mark.parametrize(
