@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency", help="critical detection efficiency for a target")
     p.add_argument("--target", required=True)
     p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.add_argument("--tol-eta", type=float, default=detection.BISECT_TOL_DEFAULT)
+    p.add_argument("--tol-eta", type=float, default=detection.TOL_ETA_DEFAULT)
     p.add_argument("--model-out", help="also write the feasible loophole model here")
     p.set_defaults(handler=_cmd_efficiency)
 

@@ -15,12 +15,12 @@ Two pictures of an inefficient detector are implemented side by side:
   rates it is indistinguishable from a fair-sampling experiment.
 
 :func:`critical_efficiency` finds the threshold below which the loophole can
-mimic the target.  Strict mode bisects the efficiency axis against that
-feasibility.  Weak mode is exact: feasibility at eta is linear in
-t = eta^2, and its Charnes-Cooper form is the single LP
-min 1'r s.t. M_coinc r = target, r >= 0, whose optimum is 1/t*.  Either way
-eta=0 needs no LP, since the never-click strategy reproduces an empty
-coincidence block.
+mimic the target, exactly in both modes.  Weak mode solves one LP, the
+Charnes-Cooper form min 1'r s.t. M_coinc r = target, r >= 0, whose optimum
+is 1/eta*^2.  Strict mode starts from the weak threshold and cuts it down
+with the duals or Farkas vectors of a related LP (Kelley's cutting planes;
+see ``_strict_threshold``), a few LPs in all.  Either way eta=0 needs no
+LP, since the never-click strategy reproduces an empty coincidence block.
 
 The no-detection outcome is always the last outcome index.
 """
@@ -28,7 +28,7 @@ The no-detection outcome is always the last outcome index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -45,22 +45,20 @@ from .polytope import DEFAULT_TOL, LocalModel, LocalStrategy, _solution_model, _
 
 ConstraintMode = Literal["strict", "weak"]
 
-BISECT_TOL_DEFAULT = 1e-3
+TOL_ETA_DEFAULT = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdResult:
     """Outcome of a critical-efficiency search.
 
-    ``eta_star`` is exactly 1.0 for local targets.  In strict mode it is the
-    midpoint of the final bisection bracket, ``feasible_model`` is the
-    loophole model found at the largest feasible probe, and the trace lists
-    every probe in order.  In weak mode ``eta_star`` is the exact threshold
-    eta* from one LP and ``feasible_model`` the loophole model at eta*; the
-    trace is (0, True), (1, False) and the bracket eta* -/+ tol_eta/2
-    (True, False), its upper end clipped at 1.  The bracket's ends are
-    certified, not probed: below eta* the model mixed with the never-click
-    strategy works, and above it the LP's optimum rules every model out.
+    ``eta_star`` is the exact threshold eta*, and exactly 1.0 for local
+    targets; ``feasible_model`` is the loophole model at eta*.  The trace
+    is (0, True), (1, False) and the bracket eta* -/+ tol_eta/2 (True, False), its upper
+    end clipped at 1; for a local target it is (0, True), (1, True).  The
+    bracket's ends are certified, not probed: the feasible efficiencies
+    form the interval [0, eta*], and above eta* the LPs' optima and Farkas
+    vectors rule every model out.
     """
 
     eta_star: float
@@ -117,33 +115,31 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
     return Behavior(binary, joint / rates[:, :, None, None]), rates
 
 
-def _coincidence_block(target: Behavior) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
-    """Three-outcome strategies and the rows of their click-click cells."""
+def _loophole_block(target: Behavior) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
+    """Three-outcome strategies, the rows of their click-click cells, and
+    their click rows: C_a (one row per setting of A, 1 where f_a != 2) over
+    C_b.  The never-click strategy is the last one."""
     strategies, matrix = _vertex_data(target.scenario.with_no_click())
     sa, sb = target.scenario.settings_a, target.scenario.settings_b
-    cell_table = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)
-    return strategies, matrix[:, cell_table[:, :, :2, :2].ravel()].T
+    cells = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)[:, :, :2, :2].ravel()
+    coincidence = matrix[:, cells].T
+    table = matrix.reshape(-1, sa, sb, 3, 3)
+    clicks_a = table[:, :, 0, :2, :].sum(axis=(2, 3)).T  # A clicks at alpha, read at beta = 0
+    clicks_b = table[:, 0, :, :, :2].sum(axis=(2, 3)).T
+    return strategies, coincidence, np.vstack([clicks_a, clicks_b])
 
 
 def _loophole_lp(target: Behavior, eta: float, mode: ConstraintMode) -> LocalModel | None:
-    strategies, coincidence = _coincidence_block(target)
-    n = len(strategies)
-    sa, sb = target.scenario.settings_a, target.scenario.settings_b
+    strategies, coincidence, clicks = _loophole_block(target)
 
     # Coincidence block: model mass on (a, b) clicks equals eta^2 * target.
     rows = [coincidence]
     rhs = [eta * eta * target.p.ravel()]
-
     if mode == "strict":
         # Observable click rates pinned to eta for every setting on each side.
-        fa = np.array([s.f_a for s in strategies])
-        fb = np.array([s.f_b for s in strategies])
-        rows.append((fa != 2).T * 1.0)  # (settings_a, n)
-        rhs.append(np.full(sa, eta))
-        rows.append((fb != 2).T * 1.0)
-        rhs.append(np.full(sb, eta))
-
-    rows.append(np.ones((1, n)))
+        rows.append(clicks)
+        rhs.append(np.full(len(clicks), eta))
+    rows.append(np.ones((1, len(strategies))))
     rhs.append(np.ones(1))
 
     result = lp.solve_standard_form(
@@ -178,6 +174,15 @@ def construct_loophole_model(
     return _loophole_lp(target, eta, mode)
 
 
+def _certified_trace(eta: float, tol_eta: float) -> tuple[tuple[float, bool], ...]:
+    """(0, True), (1, False) and the bracket eta -/+ tol_eta/2, its upper end
+    clipped at 1 and never wider than tol_eta after roundoff."""
+    lo, hi = eta - 0.5 * tol_eta, min(eta + 0.5 * tol_eta, 1.0)
+    while hi - lo > tol_eta:
+        lo = math.nextafter(lo, eta)
+    return ((0.0, True), (1.0, False), (lo, True), (hi, False))
+
+
 def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # A weak model at eta is q >= 0 with M_coinc q = eta^2 p and 1'q = 1.
     # Each strategy clicks on both sides for a setting pair or not, so
@@ -186,7 +191,7 @@ def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # The strategies that click at one setting per side are unit columns of
     # M_coinc, so r = p on them is the solver's starting basis: phase 1 makes
     # no pivot.
-    strategies, coincidence = _coincidence_block(target)
+    strategies, coincidence, _ = _loophole_block(target)
     result = lp.solve_standard_form(
         coincidence, target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL
     )
@@ -196,54 +201,74 @@ def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     if result.objective <= 1.0 + DEFAULT_TOL:
         return ThresholdResult(1.0, "weak", model, ((0.0, True), (1.0, True)))
     eta = math.sqrt(1.0 / result.objective)
-    lo, hi = eta - 0.5 * tol_eta, min(eta + 0.5 * tol_eta, 1.0)
-    while hi - lo > tol_eta:  # roundoff must not widen the bracket
-        lo = math.nextafter(lo, eta)
-    return ThresholdResult(eta, "weak", model, ((0.0, True), (1.0, False), (lo, True), (hi, False)))
+    return ThresholdResult(eta, "weak", model, _certified_trace(eta, tol_eta))
+
+
+def _strict_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
+    # Every strict model is a weak one, and a weak model at eta=1 clicks
+    # always, so the weak eta* is an upper bound that is exact when it is 1.
+    weak = _weak_threshold(target, tol_eta)
+    if weak.eta_star == 1.0:
+        return replace(weak, mode="strict")
+    # With r = q / u a strict model at u is r >= 0 with M_coinc r = u p,
+    # C_a r = 1, C_b r = 1 and 1'r <= 1/u (the never-click strategy pads the
+    # mass), so u is feasible iff u w(u) <= 1 for w(u) = min 1'r over that
+    # LP(u), whose right-hand side is b0 + u b1.  Any dual y of LP(u) gives
+    # w(u') >= a + b u' with a = y'b0, b = y'b1, so every u' with
+    # b u'^2 + a u' > 1 fails; a Farkas vector rules out a + b u' > 0.  The
+    # feasible u form an interval [0, eta*] (a model at u mixed with
+    # one-sided strategies and never-click gives one at any u' < u), so
+    # stepping down to the smallest u each cut allows reaches eta* from above.
+    strategies, coincidence, clicks = _loophole_block(target)
+    a_eq = np.vstack([coincidence, clicks])
+    b0 = np.concatenate([np.zeros(len(coincidence)), np.ones(len(clicks))])
+    b1 = np.concatenate([target.p.ravel(), np.zeros(len(clicks))])
+    cost = np.ones(len(strategies))
+    u = weak.eta_star
+    while True:
+        result = lp.solve_standard_form(a_eq, b0 + u * b1, cost, feas_tol=DEFAULT_TOL)
+        if result.status == lp.OPTIMAL:
+            if u * result.objective <= 1.0 + DEFAULT_TOL:
+                break
+            a, b = float(result.duals @ b0), float(result.duals @ b1)
+            root = a * a + 4.0 * b  # b u^2 + a u = 1 first at u = 2 / (a + sqrt(root))
+            step = 2.0 / (a + math.sqrt(root)) if b > 0.0 or (a > 0.0 and root >= 0.0) else math.nan
+        elif result.status == lp.INFEASIBLE:
+            a, b = float(result.farkas @ b0), float(result.farkas @ b1)
+            step = -a / b if b > 0.0 else math.nan
+        else:  # pragma: no cover - 1'r >= 0 bounds LP(u)
+            raise ArithmeticError(f"strict threshold LP ended {result.status}")
+        if not 0.0 < step < u:
+            raise ArithmeticError(f"strict threshold cut at eta={u!r} gave {step!r}")
+        u = step
+    weights = u * result.x
+    weights[-1] += max(1.0 - weights.sum(), 0.0)
+    model = _solution_model(weights, strategies)
+    return ThresholdResult(u, "strict", model, _certified_trace(u, tol_eta))
 
 
 def critical_efficiency(
     target: Behavior,
     mode: ConstraintMode = "strict",
-    tol_eta: float = BISECT_TOL_DEFAULT,
+    tol_eta: float = TOL_ETA_DEFAULT,
 ) -> ThresholdResult:
     """The efficiency threshold below which the loophole works.
 
     eta=0 is always feasible, through the never-click strategy, and eta=1
     exactly when the target itself is local (then the threshold is 1).
-    Weak mode solves one LP for the exact threshold and reports a bracket
-    of width ``tol_eta`` around it.  Strict mode probes eta=1 and then
-    bisects the bracket to ``tol_eta``.  ``tol_eta`` must lie in
-    [1e-9, 0.1]: at most 30 halvings of [0, 1] reach it, and the bracket
-    ends stay apart in floating point.
+    Weak mode solves one LP for the exact threshold.  Strict mode starts
+    from the weak threshold and refines it by dual cutting planes (Kelley,
+    J. SIAM 8:703, 1960), one LP per cut, to the exact threshold; two or
+    three LPs in all for the CHSH and 3x3 chained targets.  Both report a
+    bracket of width ``tol_eta`` around eta*, and ``tol_eta`` must lie in
+    [1e-9, 0.1] so the bracket ends stay apart in floating point.
     """
     if not 1e-9 <= tol_eta <= 0.1:
         raise ValueError(f"tol_eta {tol_eta!r} outside [1e-9, 0.1]")
     _check_target(target, mode)
     if mode == "weak":
         return _weak_threshold(target, tol_eta)
-    trace: list[tuple[float, bool]] = [(0.0, True)]
-
-    def probe(eta: float) -> LocalModel | None:
-        model = construct_loophole_model(target, eta, mode)
-        trace.append((eta, model is not None))
-        return model
-
-    model_one = probe(1.0)
-    if model_one is not None:
-        return ThresholdResult(1.0, mode, model_one, tuple(trace))
-
-    never_click = LocalStrategy((2,) * target.scenario.settings_a, (2,) * target.scenario.settings_b)
-    lo, hi = 0.0, 1.0
-    best = LocalModel((never_click,), np.ones(1))
-    while hi - lo > tol_eta:
-        mid = 0.5 * (lo + hi)
-        model = probe(mid)
-        if model is not None:
-            lo, best = mid, model
-        else:
-            hi = mid
-    return ThresholdResult(0.5 * (lo + hi), mode, best, tuple(trace))
+    return _strict_threshold(target, tol_eta)
 
 
 def threshold_to_json_dict(result: ThresholdResult) -> dict:

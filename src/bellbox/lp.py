@@ -29,12 +29,16 @@ a Farkas witness: y'A <= 0 (up to tolerance) and y'b = c_B x_B > 0, since
 crash columns cost nothing and price at zero.  Otherwise
 remaining basic artificials are pivoted out; one that cannot be (its row is
 linearly dependent on the others) stays basic at zero, and its row takes no
-part in any later ratio test.  Phase 2 then optimizes the real objective.
+part in any later ratio test.  Phase 2 then optimizes the real objective,
+and its final duals y = c_B B^-1 come back with the optimum: c - y'A >= 0,
+so y'b' bounds the optimum of the same program with any right-hand side b'
+from below (the strict detection threshold cuts on this).
 
 The inverse is updated in place at each pivot and rebuilt from A only when
 the chosen pivot element is small, since that element may be roundoff the
-updates have piled up.  Every optimal point and infeasibility certificate is
-also checked against A before it is returned (the point against A x = b, the
+updates have piled up.  Every optimal point, its duals and every
+infeasibility certificate are also checked against A before they are
+returned (the point against A x = b, the duals against c - y'A >= 0, the
 certificate against y'A <= 0 < y'b), so a basis inverse wrecked by roundoff
 raises ArithmeticError rather than giving a wrong verdict.
 """
@@ -76,10 +80,12 @@ _STEP_TOL = 1e-12
 class SimplexResult:
     """Outcome of one solve.
 
-    ``x`` and ``objective`` are set when status is "optimal";
+    ``x``, ``objective`` and ``duals`` are set when status is "optimal";
     ``farkas`` is set when status is "infeasible"; ``infeasibility``
-    always carries the phase-1 optimum.  ``pivots`` counts the pivots of
-    phase 1 (artificials driven out included) and of phase 2.
+    always carries the phase-1 optimum.  ``duals`` is y = c_B B^-1 of the
+    optimal basis, checked to be dual feasible (c - y'A >= -1e-7).
+    ``pivots`` counts the pivots of phase 1 (artificials driven out
+    included) and of phase 2.
     """
 
     status: str
@@ -88,6 +94,7 @@ class SimplexResult:
     infeasibility: float
     farkas: np.ndarray | None
     pivots: tuple[int, int]
+    duals: np.ndarray | None = None
 
 
 def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> SimplexResult:
@@ -149,14 +156,16 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     x = np.zeros(n)
     x[basic] = basis.x[real]
     # x must solve A x = b as closely as phase 1 claimed, and the duals must
-    # price the basic columns at zero.
+    # price the basic columns at zero and no column below zero.
+    reduced = c - y @ a
     if (
         (signed and x.min(initial=0.0) < -_LOST)
         or np.abs(a @ x - b).max(initial=0.0) > feas_tol + _LOST
-        or np.abs(c[basic] - y @ a[:, basic]).max(initial=0.0) > _LOST
+        or np.abs(reduced[basic]).max(initial=0.0) > _LOST
+        or reduced.min(initial=0.0) < -_LOST
     ):
         raise ArithmeticError("simplex lost accuracy: basic solution fails its checks")
-    return SimplexResult(OPTIMAL, x, float(c @ x), phase1, None, pivots)
+    return SimplexResult(OPTIMAL, x, float(c @ x), phase1, None, pivots, y)
 
 
 class _Basis:

@@ -254,9 +254,10 @@ def classify(b: Behavior, tol: float = DEFAULT_TOL) -> Classification:
 def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
     """Largest v in [0, 1] with v*b + (1-v)*uniform still local.
 
-    Single LP with the visibility as an extra variable.  Returns 1 for
-    behaviors that are already local; requires a nonsignalling input.
-    ``tol`` must lie in (0, 0.1].
+    Single LP with the visibility as an extra variable.  Returns exactly 1
+    when v = 1 is feasible within ``tol``, so for behaviors that are
+    already local; requires a nonsignalling input.  ``tol`` must lie in
+    (0, 0.1].
     """
     _check_tol(tol)
     defect = nonsignalling_defect(b)
@@ -279,7 +280,8 @@ def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
     result = lp.solve_standard_form(a_eq, rhs, cost, feas_tol=tol)
     if result.status != lp.OPTIMAL:  # pragma: no cover - v=0 is always feasible
         raise ArithmeticError(f"visibility LP ended {result.status}")
-    return float(min(max(result.x[n], 0.0), 1.0))
+    v = float(result.x[n])
+    return 1.0 if v >= 1.0 - tol else max(v, 0.0)
 
 
 # ---------------------------------------------------------------------------

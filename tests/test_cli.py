@@ -225,6 +225,21 @@ class TestEfficiency:
         model = bb.local_model_from_json_dict(json.loads(model_out.read_text()), extended)
         assert len(model.strategies) >= 1
 
+    def test_strict_chsh_prints_the_exact_threshold(self, capsys, tmp_path):
+        # Garg and Mermin's 2/(1+sqrt 2) = 0.828427124746..., and the
+        # certified bracket around it.
+        path = tmp_path / "chsh.json"
+        assert run_cli(
+            capsys, "quantum", "--state", "singlet", "--angles-a", "0,90", "--angles-b", "45,135",
+            "--out", str(path),
+        )[0] == 0
+        code, stdout, _ = run_cli(capsys, "efficiency", "--target", str(path), "--mode", "strict")
+        assert code == 0
+        assert stdout == (
+            '{"eta_star": 0.828427124746, "mode": "strict", "trace": [[0.0, true], [1.0, false], '
+            "[0.827927124746, true], [0.828927124746, false]]}\n"
+        )
+
     def test_tol_eta_flag(self, capsys, tmp_path):
         # 2-setting uniform target stays fast even with a fine tolerance.
         path = tmp_path / "u2.json"

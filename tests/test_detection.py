@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,12 @@ from conftest import random_behavior, random_local_model
 S2 = bb.Scenario(2, 2)
 S3 = bb.Scenario(3, 3)
 
-# Symmetric detection threshold of the maximally CHSH-violating two-qubit
-# behavior; classic closed form.
+# Strict thresholds in closed form: the symmetric detection threshold of the
+# maximally CHSH-violating two-qubit behavior, 2/(1+sqrt 2) (Garg & Mermin,
+# PRD 35:3831, 1987), and sqrt(2/3) for the 3-setting chained-Wigner target
+# (singlet at 120/0/60 degrees, B swapped), the same as its weak threshold.
 CHSH_THRESHOLD = 2.0 * (math.sqrt(2.0) - 1.0)
-
-# Regression constant for the 3-setting chained-Wigner target (singlet at
-# 120/0/60 degrees, B swapped), strict mode, computed once by this LP +
-# bisection at tol_eta=1e-4: 0.8164978..., consistent with sqrt(2/3).
-CHAINED_THRESHOLD = 0.8165
+CHAINED_THRESHOLD = math.sqrt(2.0 / 3.0)
 
 
 # Weak-mode thresholds in closed form: CHSH at Tsirelson angles and the
@@ -163,12 +162,12 @@ class TestCriticalEfficiency:
 
     def test_chsh_threshold(self):
         result = bb.critical_efficiency(tsirelson_target(), mode="strict", tol_eta=1e-3)
-        assert result.eta_star == pytest.approx(CHSH_THRESHOLD, abs=1e-3)
+        assert result.eta_star == pytest.approx(CHSH_THRESHOLD, abs=1e-9)
 
     def test_chained_threshold_regression(self, chained_target):
         result = bb.critical_efficiency(chained_target, mode="strict", tol_eta=1e-3)
         assert 0.0 < result.eta_star < 1.0
-        assert result.eta_star == pytest.approx(CHAINED_THRESHOLD, abs=1e-3)
+        assert result.eta_star == pytest.approx(CHAINED_THRESHOLD, abs=1e-9)
 
     def test_trace_is_monotone(self, chained_target):
         result = bb.critical_efficiency(chained_target, mode="strict", tol_eta=1e-2)
@@ -178,12 +177,17 @@ class TestCriticalEfficiency:
         assert max(feasible) <= result.eta_star <= min(infeasible)
 
     def test_feasible_model_reproduces_target(self, chained_target):
-        result = bb.critical_efficiency(chained_target, mode="strict", tol_eta=5e-2)
-        eta = max(eta for eta, ok in result.bisection_trace if ok)
-        q = bb.model_behavior(result.feasible_model, S3.with_no_click())
-        selected, rates = bb.post_select(q)
-        assert np.abs(selected.p - chained_target.p).max() <= 1e-8
-        np.testing.assert_allclose(rates, eta * eta, atol=1e-9)
+        # The strict model sits at eta*: coincidence rate eta*^2 for every
+        # setting pair and click rate eta* for every setting on each side.
+        for target in (tsirelson_target(), chained_target):
+            result = bb.critical_efficiency(target, mode="strict", tol_eta=5e-2)
+            eta = result.eta_star
+            q = bb.model_behavior(result.feasible_model, target.scenario.with_no_click())
+            selected, rates = bb.post_select(q)
+            assert np.abs(selected.p - target.p).max() <= 1e-8
+            np.testing.assert_allclose(rates, eta * eta, atol=1e-9)
+            np.testing.assert_allclose(q.p[:, :, :2, :].sum(axis=(2, 3)), eta, atol=1e-9)
+            np.testing.assert_allclose(q.p[:, :, :, :2].sum(axis=(2, 3)), eta, atol=1e-9)
 
     def test_tol_eta_validation(self, chained_target):
         with pytest.raises(ValueError):
@@ -275,25 +279,114 @@ class TestWeakThreshold:
             bb.critical_efficiency(random_behavior(np.random.default_rng(44), S2), mode="weak")
 
 
-def test_strict_trace_keeps_its_probes_without_the_eta_zero_lp(lp_calls, chained_target):
-    # The trace bisection gave before eta=0 stopped costing an LP.
-    result = bb.critical_efficiency(chained_target, mode="strict", tol_eta=1e-2)
-    assert result.bisection_trace == (
-        (0.0, True), (1.0, False), (0.5, True), (0.75, True), (0.875, False),
-        (0.8125, True), (0.84375, False), (0.828125, False), (0.8203125, False),
-    )
-    assert result.eta_star == 0.81640625
-    assert len(lp_calls) == len(result.bisection_trace) - 1
+def click_rows(strategies, sa: int, sb: int) -> np.ndarray:
+    """C_a over C_b, by a loop over the strategies."""
+    rows = [[s.f_a[x] != 2 for s in strategies] for x in range(sa)]
+    rows += [[s.f_b[y] != 2 for s in strategies] for y in range(sb)]
+    return np.array(rows, dtype=float)
 
 
-def test_strict_model_falls_back_to_never_click(monkeypatch, chained_target):
-    # With every probe infeasible, the model left is the never-click
-    # strategy that certifies eta = 0.
-    monkeypatch.setattr(bb.detection, "_loophole_lp", lambda *args: None)
-    result = bb.critical_efficiency(chained_target, mode="strict", tol_eta=0.1)
-    assert result.bisection_trace == (
-        (0.0, True), (1.0, False), (0.5, False), (0.25, False), (0.125, False), (0.0625, False),
+def highs_strict_feasible(target: bb.Behavior, eta: float) -> bool:
+    """The strict loophole LP at eta by HiGHS."""
+    strategies, matrix = _vertex_data(target.scenario.with_no_click())
+    sa, sb = target.scenario.settings_a, target.scenario.settings_b
+    rows = [matrix.reshape(-1, sa, sb, 3, 3)[:, :, :, :2, :2].reshape(len(strategies), -1).T]
+    rows += [click_rows(strategies, sa, sb), np.ones((1, len(strategies)))]
+    rhs = [eta * eta * target.p.ravel(), np.full(sa + sb, eta), np.ones(1)]
+    reference = linprog(
+        np.zeros(len(strategies)), A_eq=np.vstack(rows),
+        b_eq=np.concatenate(rhs), bounds=(0, None), method="highs",
     )
-    (never_click,) = result.feasible_model.strategies
-    assert (never_click.f_a, never_click.f_b) == ((2, 2, 2), (2, 2, 2))
-    np.testing.assert_array_equal(result.feasible_model.weights, [1.0])
+    assert reference.status in (0, 2)
+    return reference.status == 0
+
+
+@pytest.mark.parametrize("settings", [(2, 2), (2, 3), (3, 2)])
+def test_click_rows_match_the_strategies(settings):
+    target = bb.uniform_behavior(bb.Scenario(*settings))
+    strategies, _, clicks = bb.detection._loophole_block(target)
+    np.testing.assert_array_equal(clicks, click_rows(strategies, *settings))
+    assert (strategies[-1].f_a, strategies[-1].f_b) == ((2,) * settings[0], (2,) * settings[1])
+
+
+class TestStrictThreshold:
+    def test_lp_counts(self, lp_calls, chained_target):
+        # The weak LP gives the first upper bound.  At CHSH's weak eta* the
+        # strict LP is infeasible, and its Farkas cut lands on eta*; the
+        # chained target's strict eta* is its weak one.
+        result = bb.critical_efficiency(tsirelson_target(), mode="strict")
+        assert [r.status for r in lp_calls] == [lp.OPTIMAL, lp.INFEASIBLE, lp.OPTIMAL]
+        assert result.bisection_trace[:2] == ((0.0, True), (1.0, False))
+        lp_calls.clear()
+        bb.critical_efficiency(chained_target, mode="strict")
+        assert [r.status for r in lp_calls] == [lp.OPTIMAL, lp.OPTIMAL]
+        lp_calls.clear()
+        assert bb.critical_efficiency(bb.uniform_behavior(S2)).bisection_trace == ((0.0, True), (1.0, True))
+        assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize("start, statuses", [(0.84, "ooo"), (0.9, "oiioo")])
+    def test_dual_cuts_reach_eta_star_from_a_looser_bound(self, monkeypatch, lp_calls, chained_target,
+                                                          start, statuses):
+        # From the weak eta* the chained target stops at once.  Started
+        # higher, LP(0.84) is feasible with u w(u) = 1.058 > 1, so its duals
+        # make the cut (from 0.9, two Farkas cuts come first).
+        weak = bb.detection._weak_threshold
+        monkeypatch.setattr(
+            bb.detection, "_weak_threshold", lambda *args: replace(weak(*args), eta_star=start)
+        )
+        result = bb.critical_efficiency(chained_target, mode="strict")
+        assert "".join(r.status[0] for r in lp_calls) == statuses
+        assert result.eta_star == pytest.approx(CHAINED_THRESHOLD, abs=1e-9)
+
+    @pytest.mark.parametrize("cut", ["none", "to zero"])
+    def test_a_cut_leaving_no_positive_eta_raises(self, monkeypatch, chained_target, cut):
+        # Bisection fell back to eta* = 0 and the never-click strategy when
+        # every probe failed.  But eta* > 0 for every nonsignalling target
+        # (one-cell and one-sided strategies reach any small eta), so a cut
+        # that excludes nothing, or everything down to eta = 0, is lost
+        # accuracy and raises.
+        solve = lp.solve_standard_form
+        coincidence_rows = chained_target.p.size
+
+        def infeasible_past_the_weak_lp(a, b, *args, **kwargs):
+            if a.shape[0] == coincidence_rows:
+                return solve(a, b, *args, **kwargs)
+            farkas = np.zeros(a.shape[0])
+            if cut == "to zero":
+                farkas[0] = 1.0  # y'b = eta * p[0]: positive at every eta > 0
+            return lp.SimplexResult(lp.INFEASIBLE, None, None, 1.0, farkas, (0, 0))
+
+        monkeypatch.setattr(lp, "solve_standard_form", infeasible_past_the_weak_lp)
+        with pytest.raises(ArithmeticError, match="cut"):
+            bb.critical_efficiency(chained_target, mode="strict")
+
+    def test_feasibility_flips_once_on_a_grid(self, chained_target):
+        # The feasible efficiencies form the interval [0, eta*].
+        # (Strict probes below 0.6 take thousands of phase-1 pivots on 3x3.)
+        for target, grid in ((tsirelson_target(), np.linspace(0.0, 1.0, 41)[1:]),
+                             (chained_target, np.linspace(0.6, 1.0, 40))):
+            eta_star = bb.critical_efficiency(target, mode="strict").eta_star
+            feasible = [bb.construct_loophole_model(target, eta, "strict") is not None for eta in grid]
+            assert feasible == list(grid <= eta_star)
+
+    def test_noisy_singlets_against_highs(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            # Chained-Bell angles (CHSH for n = 2), each analyzer turned by up
+            # to 10 degrees, at visibility 0.85 to 1.
+            n = 2 + trial % 2
+            angles = 90.0 / n * np.arange(2 * n).reshape(n, 2).T + rng.uniform(-10.0, 10.0, (2, n))
+            plan = bb.MeasurementPlan.from_degrees(*angles)
+            v = rng.uniform(0.85, 1.0)
+            target = bb.validate_behavior(
+                bb.Scenario(n, n), v * bb.behavior_from_state(bb.SINGLET, plan).p + (1.0 - v) / 4.0
+            )
+            weak = bb.critical_efficiency(target, mode="weak")
+            strict = bb.critical_efficiency(target, mode="strict")
+            assert strict.eta_star <= weak.eta_star < 1.0
+            (_, _, (lo, _), (hi, _)) = strict.bisection_trace
+            assert lo < strict.eta_star < hi
+            assert bb.construct_loophole_model(target, lo, "strict") is not None
+            assert bb.construct_loophole_model(target, hi, "strict") is None
+            assert highs_strict_feasible(target, lo)
+            assert not highs_strict_feasible(target, hi)

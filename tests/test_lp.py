@@ -55,6 +55,26 @@ def test_random_infeasible_programs_yield_farkas_certificates():
     assert found >= 10  # the sweep actually exercised infeasible cases
 
 
+def test_duals_match_highs_marginals():
+    # A nondegenerate program: x has m positive entries and every other
+    # column a positive reduced cost, so the optimal basis and its duals
+    # are unique.
+    rng = np.random.default_rng(11)
+    m, n = 5, 12
+    a = rng.normal(size=(m, n))
+    b = a @ np.abs(rng.normal(size=n))
+    c = np.abs(rng.normal(size=n))
+    reference = scipy_solve(a, b, c)
+    assert reference.status == 0
+    assert np.count_nonzero(reference.x > 1e-6) == m
+    reduced = c - reference.eqlin.marginals @ a
+    assert np.sort(reduced)[m] > 1e-6
+    result = lp.solve_standard_form(a, b, c)
+    assert result.status == lp.OPTIMAL
+    np.testing.assert_allclose(result.duals, reference.eqlin.marginals, atol=1e-9)
+    assert result.duals @ b == pytest.approx(result.objective, abs=1e-9)
+
+
 def test_unbounded_detection():
     # min -x1 with x1 - x2 = 0: push both up forever.
     result = lp.solve_standard_form([[1.0, -1.0]], [0.0], [-1.0, 0.0])

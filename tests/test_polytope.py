@@ -263,6 +263,16 @@ class TestLocalVisibility:
             behavior = bb.model_behavior(random_local_model(rng, strategies), S3)
             assert bb.local_visibility(behavior) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("scenario", [S2, S3])
+    def test_local_behaviors_give_exactly_one(self, scenario):
+        # With the LP's v clipped to [0, 1], 5 of these 2x2 and 24 of these
+        # 3x3 mixtures read 1 - 1e-16 to 1 - 3e-15.
+        rng = np.random.default_rng(3)
+        strategies = bb.enumerate_strategies(scenario)
+        for _ in range(60):
+            behavior = bb.model_behavior(random_local_model(rng, strategies), scenario)
+            assert bb.local_visibility(behavior) == 1.0
+
     def test_pr_box_half(self, pr_box):
         # The CHSH facet pins the PR box: 4v <= 2.
         assert bb.local_visibility(pr_box) == pytest.approx(0.5, abs=1e-9)
