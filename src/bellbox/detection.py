@@ -27,6 +27,7 @@ The no-detection outcome is always the last outcome index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -41,7 +42,14 @@ from .errors import (
     ZeroCoincidence,
 )
 from .model import Behavior, Scenario, nonsignalling_defect
-from .polytope import DEFAULT_TOL, LocalModel, LocalStrategy, _solution_model, _vertex_data
+from .polytope import (
+    DEFAULT_TOL,
+    LocalModel,
+    LocalStrategy,
+    _side_factors,
+    _solution_model,
+    _table_price,
+)
 
 ConstraintMode = Literal["strict", "weak"]
 
@@ -115,35 +123,48 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
     return Behavior(binary, joint / rates[:, :, None, None]), rates
 
 
-def _loophole_block(target: Behavior) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
-    """Three-outcome strategies, the rows of their click-click cells, and
-    their click rows: C_a (one row per setting of A, 1 where f_a != 2) over
-    C_b.  The never-click strategy is the last one."""
-    strategies, matrix = _vertex_data(target.scenario.with_no_click())
-    sa, sb = target.scenario.settings_a, target.scenario.settings_b
-    cells = np.arange(sa * sb * 9).reshape(sa, sb, 3, 3)[:, :, :2, :2].ravel()
-    coincidence = matrix[:, cells].T
-    table = matrix.reshape(-1, sa, sb, 3, 3)
-    clicks_a = table[:, :, 0, :2, :].sum(axis=(2, 3)).T  # A clicks at alpha, read at beta = 0
-    clicks_b = table[:, 0, :, :, :2].sum(axis=(2, 3)).T
-    return strategies, coincidence, np.vstack([clicks_a, clicks_b])
+@functools.lru_cache(maxsize=32)
+def _loophole_block(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
+    """Three-outcome strategies for a binary scenario and the loophole LP rows
+    on them: one per click-click cell (alpha, beta, a, b), then the click
+    rows C_a (1 where f_a(alpha) != 2) and C_b.  Each row comes twice: as
+    the flattened table whose values on the strategies are the row (for
+    ``_table_price``), and as those values.  The never-click strategy is
+    the last one."""
+    extended = scenario.with_no_click()
+    strategies = _side_factors(extended)[0]
+    sa, sb = scenario.settings_a, scenario.settings_b
+    cells = np.eye(sa * sb * 9).reshape(sa, sb, 3, 3, -1)
+    clicks_a = np.zeros((sa, sa, sb, 3, 3))
+    clicks_a[range(sa), range(sa), 0, :2, :] = 1.0  # A clicks at alpha, read at beta = 0
+    clicks_b = np.zeros((sb, sa, sb, 3, 3))
+    clicks_b[range(sb), 0, range(sb), :, :2] = 1.0
+    tables = np.vstack([
+        cells[:, :, :2, :2].reshape(-1, cells.shape[-1]),
+        clicks_a.reshape(sa, -1),
+        clicks_b.reshape(sb, -1),
+    ])
+    values = _table_price(extended)  # a table's values on every strategy
+    rows = np.array([values(table) for table in tables])
+    tables.flags.writeable = False
+    rows.flags.writeable = False
+    return strategies, tables, rows
 
 
 def _loophole_lp(target: Behavior, eta: float, mode: ConstraintMode) -> LocalModel | None:
-    strategies, coincidence, clicks = _loophole_block(target)
-
-    # Coincidence block: model mass on (a, b) clicks equals eta^2 * target.
-    rows = [coincidence]
-    rhs = [eta * eta * target.p.ravel()]
-    if mode == "strict":
-        # Observable click rates pinned to eta for every setting on each side.
-        rows.append(clicks)
-        rhs.append(np.full(len(clicks), eta))
-    rows.append(np.ones((1, len(strategies))))
-    rhs.append(np.ones(1))
-
+    strategies, tables, rows = _loophole_block(target.scenario)
+    k = len(rows) if mode == "strict" else target.p.size
+    # Coincidence block: model mass on (a, b) clicks equals eta^2 * target;
+    # in strict mode the click rows pin each side's click rate to eta for
+    # every setting; then total mass 1 (one whole (alpha, beta) block).
+    total = np.zeros(tables.shape[1])
+    total[:9] = 1.0
+    rhs = np.concatenate([eta * eta * target.p.ravel(), np.full(k - target.p.size, eta), np.ones(1)])
     result = lp.solve_standard_form(
-        np.vstack(rows), np.concatenate(rhs), feas_tol=DEFAULT_TOL
+        np.vstack([rows[:k], np.ones(len(strategies))]),
+        rhs,
+        feas_tol=DEFAULT_TOL,
+        price=_table_price(target.scenario.with_no_click(), np.vstack([tables[:k], total])),
     )
     if result.status == lp.INFEASIBLE:
         return None
@@ -191,9 +212,11 @@ def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # The strategies that click at one setting per side are unit columns of
     # M_coinc, so r = p on them is the solver's starting basis: phase 1 makes
     # no pivot.
-    strategies, coincidence, _ = _loophole_block(target)
+    strategies, tables, rows = _loophole_block(target.scenario)
+    k = target.p.size
     result = lp.solve_standard_form(
-        coincidence, target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL
+        rows[:k], target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL,
+        price=_table_price(target.scenario.with_no_click(), tables[:k]),
     )
     if result.status != lp.OPTIMAL:  # pragma: no cover - one-cell strategies reach any p
         raise ArithmeticError(f"weak threshold LP ended {result.status}")
@@ -219,14 +242,15 @@ def _strict_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     # feasible u form an interval [0, eta*] (a model at u mixed with
     # one-sided strategies and never-click gives one at any u' < u), so
     # stepping down to the smallest u each cut allows reaches eta* from above.
-    strategies, coincidence, clicks = _loophole_block(target)
-    a_eq = np.vstack([coincidence, clicks])
-    b0 = np.concatenate([np.zeros(len(coincidence)), np.ones(len(clicks))])
-    b1 = np.concatenate([target.p.ravel(), np.zeros(len(clicks))])
+    strategies, tables, a_eq = _loophole_block(target.scenario)
+    price = _table_price(target.scenario.with_no_click(), tables)
+    k = target.p.size
+    b0 = np.concatenate([np.zeros(k), np.ones(len(a_eq) - k)])
+    b1 = np.concatenate([target.p.ravel(), np.zeros(len(a_eq) - k)])
     cost = np.ones(len(strategies))
     u = weak.eta_star
     while True:
-        result = lp.solve_standard_form(a_eq, b0 + u * b1, cost, feas_tol=DEFAULT_TOL)
+        result = lp.solve_standard_form(a_eq, b0 + u * b1, cost, feas_tol=DEFAULT_TOL, price=price)
         if result.status == lp.OPTIMAL:
             if u * result.objective <= 1.0 + DEFAULT_TOL:
                 break

@@ -1,19 +1,23 @@
 """Two-phase revised simplex for equality-form linear programs.
 
 Solves  min c'x  subject to  A x = b,  x >= 0.  The solver keeps an explicit
-m x m basis inverse and the basic solution, and prices every column straight
-from the caller's A, which it neither copies nor writes.  Each pivot costs
-at most one m x n vector-matrix product plus O(m^2) work, and the working
-memory beyond A is O(m^2 + n), so the loophole LPs (tens of rows, thousands
-of columns) stay cheap.
+m x m basis inverse and the basic solution, and reads the caller's A, which
+it neither copies nor writes.  Each pivot prices all n columns once: the
+caller's ``price`` turns the duals y into y'A.  The default is the dense
+product; the package's LPs, whose columns are deterministic strategies,
+pass a product through the strategies' two side factors that never touches
+the m x n matrix.  Beyond pricing, a pivot reads one column of A and does
+O(m^2) work, and the working memory beyond A is O(m^2 + n), so the loophole
+LPs (tens of rows, thousands of columns) stay cheap.
 
 Phase 1 picks the entering column by Bland's smallest-index rule (the
 lowest column index with a negative reduced cost).  Phase 2 uses Dantzig's
 rule (the most negative reduced cost, lowest index on ties) and falls back
 to Bland's after ``_STALL`` consecutive degenerate pivots, until the next
 pivot that moves the solution; Bland's rule cannot cycle, so neither can
-the mix.  Both phases take the minimum-ratio leaving row, tie-broken by the
-lowest basic-variable index, so every solve is deterministic.
+the mix.  Both rules read the same fully priced vector.  Both phases take
+the minimum-ratio leaving row, tie-broken by the lowest basic-variable
+index, so every solve is deterministic.
 
 Phase 1 starts from a crash basis (Bixby, ORSA J. Comput. 4:267, 1992):
 row i takes the lowest column of A whose only nonzero entry is a_ij, with
@@ -39,7 +43,8 @@ the chosen pivot element is small, since that element may be roundoff the
 updates have piled up.  Every optimal point, its duals and every
 infeasibility certificate are also checked against A before they are
 returned (the point against A x = b, the duals against c - y'A >= 0, the
-certificate against y'A <= 0 < y'b), so a basis inverse wrecked by roundoff
+certificate against y'A <= 0 < y'b), and so is the descent of an
+unbounded ray, so a basis inverse wrecked by roundoff, or a wrong price,
 raises ArithmeticError rather than giving a wrong verdict.
 """
 
@@ -65,10 +70,6 @@ _SMALL_PIVOT = 1e-6
 # solves of the package's LPs stay below 1e-10 in every checked quantity; a
 # wrecked inverse misses by many orders of magnitude more.
 _LOST = 1e-7
-# Columns are priced this many at a time, up to the first block that holds an
-# entering column: on the loophole LPs Bland's entering index is mostly in
-# the first tenth of the columns, and a slice of A stays in cache.
-_PRICE_BLOCK = 512
 # Phase 2 falls back from Dantzig's to Bland's entering rule after this many
 # degenerate pivots in a row, which rules out cycling.  A pivot is degenerate
 # when its step, x_p / column_p, is at most _STEP_TOL.
@@ -97,12 +98,17 @@ class SimplexResult:
     duals: np.ndarray | None = None
 
 
-def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> SimplexResult:
+def solve_standard_form(
+    a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9, price=None
+) -> SimplexResult:
     """Solve min cost'x s.t. a_eq x = b_eq, x >= 0.
 
     ``cost=None`` means a pure feasibility problem (phase 1 only, then the
     zero objective is trivially optimal at the feasible point found).
     ``a_eq`` is only read, so a read-only array is passed without a copy.
+    ``price(y)`` must return ``y @ a_eq`` (default: that product); the
+    entering rules use it, and every answer is still checked against
+    ``a_eq``.
     """
     a = np.asarray(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).ravel()
@@ -112,10 +118,12 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     c = np.zeros(n) if cost is None else np.array(cost, dtype=float).ravel()
     if c.size != n:
         raise ValueError(f"cost length {c.size} != number of columns {n}")
+    if price is None:
+        price = lambda y: y @ a
 
     # Phase 1: unit cost on the artificials, which never re-enter.
     basis = _Basis(a, b)
-    status, phase1_pivots, y = _iterate(basis, np.concatenate([np.zeros(n), np.ones(m)]))
+    status, phase1_pivots, y = _iterate(basis, np.concatenate([np.zeros(n), np.ones(m)]), price)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below by 0
         raise ArithmeticError("phase 1 reported unbounded; numerical breakdown")
     phase1 = float(np.sum(basis.x[basis.index >= n]))
@@ -146,7 +154,7 @@ def solve_standard_form(a_eq, b_eq, cost=None, *, feas_tol: float = 1e-9) -> Sim
     signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), dantzig=True)
+    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), price, dantzig=True)
     pivots = (phase1_pivots, phase2_pivots)
     if status == UNBOUNDED:
         return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
@@ -175,6 +183,8 @@ class _Basis:
     s_i the sign of b_i, and once it leaves the basis it never comes back.
     The starting basis is the crash basis: the artificial of row i only
     where no unit column of A can start basic in row i at x_i >= 0.
+    ``inv`` and ``x`` are views of one array, the carry matrix
+    [B^-1 | x_B], which a pivot updates as a whole.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
@@ -192,8 +202,10 @@ class _Basis:
         rows, first = np.unique(rows[fits], return_index=True)
         self.index[rows] = unit[fits][first]
         diagonal[rows] = entries[fits][first]
-        self.inv = np.diag(1.0 / diagonal)
-        self.x = b / diagonal
+        self.carry = np.zeros((m, m + 1))
+        self.inv, self.x = self.carry[:, :m], self.carry[:, m]
+        self.inv[np.diag_indices(m)] = 1.0 / diagonal
+        self.x[:] = b / diagonal
         self.nonbasic = np.ones(self.n + m, dtype=bool)
         self.nonbasic[self.index] = False
         self.live = np.ones(m, dtype=bool)
@@ -210,35 +222,35 @@ class _Basis:
         rows = self.index[artificial] - self.n
         basis_matrix[rows, artificial] = self.signs[rows]
         try:
-            self.inv = np.linalg.inv(basis_matrix)
+            self.inv[:] = np.linalg.inv(basis_matrix)
         except np.linalg.LinAlgError:
             raise ArithmeticError("simplex lost accuracy: singular basis") from None
-        self.x = self.inv @ self.b
+        self.x[:] = self.inv @ self.b
 
     def pivot(self, p: int, q: int, column: np.ndarray) -> None:
-        inv_p = self.inv[p] / column[p]
-        x_p = self.x[p] / column[p]
-        self.inv -= np.outer(column, inv_p)
-        self.x -= column * x_p
-        self.inv[p] = inv_p
-        self.x[p] = x_p
+        row = self.carry[p] / column[p]
+        self.carry -= column[:, None] * row
+        self.carry[p] = row
         self.nonbasic[self.index[p]] = True
         self.nonbasic[q] = False
         self.index[p] = q
 
 
-def _iterate(basis: _Basis, cost: np.ndarray, dantzig: bool = False) -> tuple[str, int, np.ndarray]:
+def _iterate(basis: _Basis, cost: np.ndarray, price, dantzig: bool = False) -> tuple[str, int, np.ndarray]:
     """Pivots on the columns of A until optimal or unbounded; returns the
     status, the pivot count and the final duals.  The entering rule is
     Bland's, or with ``dantzig`` Dantzig's until ``_STALL`` degenerate
     pivots in a row."""
     degenerate = 0
+    real_cost = cost[: basis.n]
     for pivots in range(_MAX_PIVOTS):
         duals = cost[basis.index] @ basis.inv
+        reduced = real_cost - price(duals)
+        reduced[~basis.nonbasic[: basis.n]] = 0.0
         if dantzig and degenerate < _STALL:
-            q = _most_negative(basis, cost, duals)
+            q = _most_negative(reduced)
         else:
-            q = _first_negative(basis, cost, duals)
+            q = _first_negative(reduced)
         if q is None:
             return OPTIMAL, pivots, duals
         column = basis.column(q)
@@ -248,6 +260,9 @@ def _iterate(basis: _Basis, cost: np.ndarray, dantzig: bool = False) -> tuple[st
             column = basis.column(q)
             p = _leaving_row(basis, column)
         if p is None:
+            # The price chose q; the ray must also descend on A itself.
+            if cost[q] - cost[basis.index] @ column >= 0.0:
+                raise ArithmeticError("simplex lost accuracy: unbounded ray does not descend")
             return UNBOUNDED, pivots, duals
         degenerate = degenerate + 1 if basis.x[p] <= _STEP_TOL * column[p] else 0
         basis.pivot(p, q, column)
@@ -255,33 +270,28 @@ def _iterate(basis: _Basis, cost: np.ndarray, dantzig: bool = False) -> tuple[st
 
 
 def _leaving_row(basis: _Basis, column: np.ndarray) -> int | None:
-    """Minimum-ratio row for the entering column, or None when it is unbounded."""
-    rows = np.nonzero((column > _PIVOT_TOL) & basis.live)[0]
-    if rows.size == 0:
+    """Minimum-ratio row for the entering column, or None when it is unbounded.
+    Ratios within 1e-12 (relative) of the minimum tie; the row of the smallest
+    basic index among them leaves (Bland)."""
+    rows = ((column > _PIVOT_TOL) & basis.live).nonzero()[0]
+    if not rows.size:
         return None
     ratios = basis.x[rows] / column[rows]
     best = ratios.min()
     ties = rows[ratios <= best + 1e-12 * (1.0 + abs(best))]
-    return int(ties[np.argmin(basis.index[ties])])  # Bland: smallest basic index
+    return int(ties[0] if ties.size == 1 else ties[basis.index[ties].argmin()])
 
 
-def _first_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray) -> int | None:
-    """Bland's entering column: the lowest nonbasic index with a reduced cost
-    below -_PIVOT_TOL, or None."""
-    for start in range(0, basis.n, _PRICE_BLOCK):
-        stop = min(start + _PRICE_BLOCK, basis.n)
-        reduced = cost[start:stop] - duals @ basis.a[:, start:stop]
-        hits = np.nonzero((reduced < -_PIVOT_TOL) & basis.nonbasic[start:stop])[0]
-        if hits.size:
-            return start + int(hits[0])
-    return None
+def _first_negative(reduced: np.ndarray) -> int | None:
+    """Bland's entering column: the lowest index with a reduced cost below
+    -_PIVOT_TOL, or None.  Basic columns are priced at zero."""
+    q = int((reduced < -_PIVOT_TOL).argmax())
+    return q if reduced[q] < -_PIVOT_TOL else None
 
 
-def _most_negative(basis: _Basis, cost: np.ndarray, duals: np.ndarray) -> int | None:
-    """Dantzig's entering column: the nonbasic index with the most negative
-    reduced cost (the lowest such index on ties), if that cost is below
-    -_PIVOT_TOL, else None."""
-    reduced = cost[: basis.n] - duals @ basis.a
-    reduced[~basis.nonbasic[: basis.n]] = 0.0
-    q = int(np.argmin(reduced))
+def _most_negative(reduced: np.ndarray) -> int | None:
+    """Dantzig's entering column: the index with the most negative reduced
+    cost (the lowest such index on ties), if that cost is below -_PIVOT_TOL,
+    else None.  Basic columns are priced at zero."""
+    q = int(reduced.argmin())
     return q if reduced[q] < -_PIVOT_TOL else None

@@ -155,20 +155,66 @@ def model_behavior(model: LocalModel, scenario: Scenario) -> Behavior:
 
 
 @functools.lru_cache(maxsize=32)
-def _vertex_data(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
-    """All strategies plus the matrix of their flattened behavior tables.
+def _side_factors(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
+    """All strategies plus one one-hot factor per side, S_a and S_b.
 
-    Every LP builds on this, so its enumeration checks the strategy cap for all.
+    Row i of S_a is [f_a(alpha) == a] over (alpha, a) for the i-th f_a in
+    lexicographic order, likewise S_b, so the table of strategy
+    i * kb^sb + j is the outer product of row i of S_a and row j of S_b.
+    Every LP builds on this, so its enumeration checks the strategy cap for
+    all.
     """
     strategies = enumerate_strategies(scenario)
-    fa = np.array([s.f_a for s in strategies])  # (n, settings_a)
-    fb = np.array([s.f_b for s in strategies])
-    ind_a = fa[:, :, None] == np.arange(scenario.outcomes_a.size)  # (n, sa, ka)
-    ind_b = fb[:, :, None] == np.arange(scenario.outcomes_b.size)
-    matrix = np.einsum("exa,eyb->exyab", ind_a * 1.0, ind_b * 1.0)
-    matrix = matrix.reshape(len(strategies), -1)
+    factors = []
+    for settings, outcomes in ((scenario.settings_a, scenario.outcomes_a.size),
+                               (scenario.settings_b, scenario.outcomes_b.size)):
+        f = np.array(list(itertools.product(range(outcomes), repeat=settings)))
+        factor = (f[:, :, None] == np.arange(outcomes)).reshape(len(f), -1) * 1.0
+        factor.flags.writeable = False
+        factors.append(factor)
+    return tuple(strategies), factors[0], factors[1]
+
+
+@functools.lru_cache(maxsize=32)
+def _vertex_data(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
+    """All strategies plus the matrix of their flattened behavior tables."""
+    strategies, side_a, side_b = _side_factors(scenario)
+    sa, sb, ka, kb = scenario.shape
+    ind_a = side_a.reshape(-1, 1, sa, 1, ka, 1)
+    ind_b = side_b.reshape(1, -1, 1, sb, 1, kb)
+    matrix = (ind_a * ind_b).reshape(len(strategies), -1)
     matrix.flags.writeable = False
-    return tuple(strategies), matrix
+    return strategies, matrix
+
+
+def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
+    """The price y -> y @ A of LP rows that are table functionals on the
+    strategies: row i holds the values of table ``tables[i]`` (flattened) on
+    every strategy, or with ``tables=None`` row i is cell i (A is the vertex
+    matrix's transpose).  y @ A is then the values of the one table y @
+    tables, which with the table laid out as T[(alpha, a), (beta, b)] are
+    S_a T S_b' over the side factors: no m x n product.
+    """
+    _, side_a, side_b = _side_factors(scenario)
+    side_b = side_b.T
+    sa, sb, ka, kb = scenario.shape
+    layout = (sa * ka, sb * kb)
+    # Cell order (alpha, beta, a, b) -> (alpha, a, beta, b).
+    order = np.arange(sa * sb * ka * kb).reshape(sa, sb, ka, kb).transpose(0, 2, 1, 3).ravel()
+    rows = None if tables is None else np.ascontiguousarray(tables[:, order])
+
+    def price(y: np.ndarray) -> np.ndarray:
+        t = (y[order] if rows is None else y @ rows).reshape(layout)
+        return np.dot(np.dot(side_a, t), side_b).ravel()
+
+    return price
+
+
+def _strategy_values(scenario: Scenario, table: np.ndarray) -> np.ndarray:
+    """A table's value sum_{alpha,beta} table[alpha, beta, f_a(alpha),
+    f_b(beta)] on every strategy, in strategy order: the same numbers as
+    ``_vertex_data(scenario)[1] @ table.ravel()``, without the vertex matrix."""
+    return _table_price(scenario)(np.ravel(table))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +233,8 @@ def functional_vertex_bounds(f: BellFunctional) -> VertexBounds:
     By linearity the extrema bound the functional over every LocalModel,
     so this is the oracle for local bounds.
     """
-    strategies, matrix = _vertex_data(f.scenario)
-    values = matrix @ f.coefficients.ravel()
+    strategies, _, _ = _side_factors(f.scenario)
+    values = _strategy_values(f.scenario, f.coefficients)
     imin = int(values.argmin())
     imax = int(values.argmax())
     return VertexBounds(float(values[imin]), float(values[imax]), strategies[imin], strategies[imax])
@@ -208,7 +254,9 @@ def _solution_model(
 
 def _membership_lp(b: Behavior, tol: float) -> tuple[LocalModel | None, np.ndarray | None]:
     strategies, matrix = _vertex_data(b.scenario)
-    result = lp.solve_standard_form(matrix.T, b.p.ravel(), feas_tol=tol)
+    result = lp.solve_standard_form(
+        matrix.T, b.p.ravel(), feas_tol=tol, price=_table_price(b.scenario)
+    )
     if result.status == lp.INFEASIBLE:
         return None, result.farkas
     return _solution_model(result.x, strategies), None
@@ -277,7 +325,14 @@ def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
     rhs = np.concatenate([u, [1.0]])
     cost = np.zeros(n + 2)
     cost[n] = -1.0  # maximize v
-    result = lp.solve_standard_form(a_eq, rhs, cost, feas_tol=tol)
+    strategy_price = _table_price(b.scenario)
+
+    def price(y):
+        # y @ a_eq: the strategies through the side factors, then v and the slack.
+        cell = y[:cells]
+        return np.concatenate([strategy_price(cell), [y[cells] - cell @ direction, y[cells]]])
+
+    result = lp.solve_standard_form(a_eq, rhs, cost, feas_tol=tol, price=price)
     if result.status != lp.OPTIMAL:  # pragma: no cover - v=0 is always feasible
         raise ArithmeticError(f"visibility LP ended {result.status}")
     v = float(result.x[n])

@@ -303,9 +303,14 @@ def highs_strict_feasible(target: bb.Behavior, eta: float) -> bool:
 
 @pytest.mark.parametrize("settings", [(2, 2), (2, 3), (3, 2)])
 def test_click_rows_match_the_strategies(settings):
-    target = bb.uniform_behavior(bb.Scenario(*settings))
-    strategies, _, clicks = bb.detection._loophole_block(target)
-    np.testing.assert_array_equal(clicks, click_rows(strategies, *settings))
+    scenario = bb.Scenario(*settings)
+    strategies, _, rows = bb.detection._loophole_block(scenario)
+    cells = np.prod(settings) * 4
+    np.testing.assert_array_equal(rows[cells:], click_rows(strategies, *settings))
+    # The click-click rows are the vertex matrix's click-click columns.
+    _, matrix = _vertex_data(scenario.with_no_click())
+    coincidence = matrix.reshape(-1, *settings, 3, 3)[:, :, :, :2, :2].reshape(len(strategies), -1).T
+    np.testing.assert_array_equal(rows[:cells], coincidence)
     assert (strategies[-1].f_a, strategies[-1].f_b) == ((2,) * settings[0], (2,) * settings[1])
 
 

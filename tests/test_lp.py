@@ -472,3 +472,111 @@ def test_degenerate_phase2_falls_back_to_bland(monkeypatch):
     phase2 = rules[rules.index("_most_negative"):]
     assert phase2.count("_first_negative") > 0
     assert len(phase2) == result.pivots[1] + 1
+
+
+def run_every_builder(chained_target):
+    """One call into each of the package's LP builders: membership (a nonlocal
+    and a local behavior, 3x3 and 4x4), visibility, the weak threshold LP
+    (3x3 and 4x4), the strict threshold LPs, and the probe in both modes."""
+    chsh = singlet((0.0, 90.0), (45.0, 135.0))
+    singlet4 = singlet((0.0, 45.0, 90.0, 135.0), (22.5, 67.5, 112.5, 157.5))
+    bb.classify(chained_target)
+    bb.classify(noisy_singlet(4, 0.6, (151.2, 90.0, 63.5, 49.8), (90.2, 133.9, 299.2, 211.3)))
+    bb.local_visibility(chained_target)
+    bb.critical_efficiency(chained_target, mode="weak")
+    bb.critical_efficiency(singlet4, mode="weak")
+    bb.critical_efficiency(chsh, mode="strict")
+    bb.construct_loophole_model(chained_target, 0.8, "strict")
+    bb.construct_loophole_model(chsh, 0.9, "weak")
+
+
+def test_builder_prices_match_the_dense_product(monkeypatch, chained_target):
+    # Every builder prices its columns through the strategies' side factors;
+    # the price must be y @ A for any y, not only for the duals a solve meets.
+    seen = []
+    solve = lp.solve_standard_form
+
+    def spy(a_eq, b_eq, cost=None, **kwargs):
+        seen.append((np.asarray(a_eq), kwargs.get("price")))
+        return solve(a_eq, b_eq, cost, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_standard_form", spy)
+    run_every_builder(chained_target)
+    assert len(seen) == 10
+    rng = np.random.default_rng(8)
+    for a, price in seen:
+        assert price is not None
+        for _ in range(5):
+            y = rng.normal(size=a.shape[0])
+            np.testing.assert_allclose(price(y), y @ a, rtol=0.0, atol=1e-12)
+
+
+def wrong_prices(a):
+    """Prices that are not y @ A: zero, negated, and the right values on the wrong columns."""
+    order = np.random.default_rng(a.shape[1]).permutation(a.shape[1])
+    return {
+        "zero": lambda y: np.zeros(a.shape[1]),
+        "negated": lambda y: -(y @ a),
+        "shuffled": lambda y: (y @ a)[order],
+    }
+
+
+def agrees_with_highs(a, b, c, result) -> None:
+    reference = scipy_solve(a, b, c)
+    assert result.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[reference.status]
+    if result.status == lp.OPTIMAL:
+        assert result.objective == pytest.approx(reference.fun, abs=1e-9)
+    elif result.status == lp.INFEASIBLE:
+        assert_farkas(result, a, b)
+
+
+@pytest.mark.parametrize("wrong", ["zero", "negated", "shuffled"])
+def test_a_wrong_price_raises_or_answers_right(monkeypatch, chained_target, wrong):
+    # Only the entering rules read the price; the answers are checked against
+    # A.  So a wrong price may cost pivots or raise ArithmeticError, but what
+    # comes back is HiGHS's answer.  The pivot limit is cut so that a price
+    # that never finds the optimum gives up quickly.
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 3000)
+    solve = lp.solve_standard_form
+    outcomes = []
+
+    def wrongly_priced(a_eq, b_eq, cost=None, *, feas_tol=1e-9, price=None):
+        a = np.asarray(a_eq)
+        c = np.zeros(a.shape[1]) if cost is None else np.asarray(cost)
+        try:
+            result = solve(a, b_eq, cost, feas_tol=feas_tol, price=wrong_prices(a)[wrong])
+        except ArithmeticError:
+            outcomes.append("raised")
+            raise
+        agrees_with_highs(a, np.asarray(b_eq), c, result)
+        outcomes.append(result.status)
+        return result
+
+    monkeypatch.setattr(lp, "solve_standard_form", wrongly_priced)
+    with pytest.raises(ArithmeticError):
+        run_every_builder(chained_target)
+    assert outcomes[-1] == "raised"
+
+    monkeypatch.setattr(lp, "solve_standard_form", solve)
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        a, b, c = random_program(rng, trial % 3)
+        try:
+            result = lp.solve_standard_form(a, b, c, price=wrong_prices(a)[wrong])
+        except ArithmeticError:
+            outcomes.append("raised")
+            continue
+        agrees_with_highs(a, b, c, result)
+        outcomes.append(result.status)
+    assert outcomes.count("raised") >= 10
+
+
+def test_a_wrong_price_cannot_claim_an_unbounded_program():
+    # min x0 s.t. x0 - x1 = 0 is optimal at 0 from its crash basis {x0}.  A
+    # negated price makes x1 look improving, and its column has no positive
+    # entry; the ray x0 = x1 = t does not descend, so the solver must raise
+    # rather than report the program unbounded.
+    a, b, c = np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0])
+    assert lp.solve_standard_form(a, b, c).objective == 0.0
+    with pytest.raises(ArithmeticError, match="does not descend"):
+        lp.solve_standard_form(a, b, c, price=lambda y: -(y @ a))

@@ -5,6 +5,7 @@ import pytest
 
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
+from bellbox.polytope import _strategy_values, _vertex_data
 from conftest import random_behavior, random_local_model
 
 S3 = bb.Scenario(3, 3)
@@ -148,6 +149,27 @@ class TestVertexBounds:
         bounds = bb.functional_vertex_bounds(f)
         assert bounds.min == pytest.approx(min(values), abs=1e-12)
         assert bounds.max == pytest.approx(max(values), abs=1e-12)
+
+
+VALUE_SCENARIOS = [bb.Scenario(n, n) for n in (2, 3, 4, 5)] + [
+    bb.Scenario(n, n).with_no_click() for n in (2, 3, 4)
+] + [bb.Scenario(2, 3), bb.Scenario(3, 2).with_no_click()]
+
+
+@pytest.mark.parametrize(
+    "scenario", VALUE_SCENARIOS, ids=lambda s: f"{s.settings_a}x{s.settings_b}-{s.outcomes_a.size}"
+)
+def test_strategy_values_match_the_vertex_matrix(scenario):
+    # The side-factor product against the dense vertex matrix, whose rows are
+    # checked against each strategy's own behavior table where that is quick.
+    strategies, matrix = _vertex_data(scenario)
+    if len(strategies) <= 1024:
+        tables = [bb.strategy_behavior(s, scenario).p.ravel() for s in strategies]
+        np.testing.assert_array_equal(matrix, tables)
+    rng = np.random.default_rng(17)
+    for table in (rng.normal(size=scenario.shape), rng.integers(-3, 4, size=scenario.shape)):
+        values = _strategy_values(scenario, table)
+        np.testing.assert_allclose(values, matrix @ table.ravel(), rtol=0.0, atol=1e-12)
 
 
 class TestLocalDecomposition:
