@@ -7,20 +7,27 @@ Two pictures of an inefficient detector are implemented side by side:
   the three-outcome alphabet and :func:`post_select` inverts it.
 
 * strategy-dependent detection -- the hidden strategy may decide whether a
-  station clicks.  :func:`construct_loophole_model` searches, by LP
-  feasibility over all three-outcome deterministic local strategies, for a
-  local model whose coincidence statistics reproduce a target behavior at
-  a given efficiency.  In "strict" mode the model's click rates must also
-  be eta for every setting, so from the observable singles and coincidence
-  rates it is indistinguishable from a fair-sampling experiment.
+  station clicks.  :func:`construct_loophole_model` looks, over all
+  three-outcome deterministic local strategies, for a local model whose
+  coincidence statistics reproduce a target behavior at a given
+  efficiency.  In "strict" mode the model's click rates must also be eta
+  for every setting, so from the observable singles and coincidence rates
+  it is indistinguishable from a fair-sampling experiment.
 
-:func:`critical_efficiency` finds the threshold below which the loophole can
-mimic the target, exactly in both modes.  Weak mode solves one LP, the
-Charnes-Cooper form min 1'r s.t. M_coinc r = target, r >= 0, whose optimum
-is 1/eta*^2.  Strict mode starts from the weak threshold and cuts it down
-with the duals or Farkas vectors of a related LP (Kelley's cutting planes;
-see ``_strict_threshold``), a few LPs in all.  Either way eta=0 needs no
-LP, since the never-click strategy reproduces an empty coincidence block.
+Both modes ask one question of one LP, LP(u): w(u) = min 1'r s.t.
+M_coinc r = u p, r >= 0 (plus C_a r = 1, C_b r = 1 in strict mode).  A model
+q at efficiency u is such an r = q / u with 1'r <= 1/u, since the
+never-click strategy, a zero column, pads the mass; so u is feasible iff
+u w(u) <= 1, and u r padded with never-click is the model.
+:func:`construct_loophole_model` solves LP(eta).
+
+:func:`critical_efficiency` finds the threshold below which the loophole
+can mimic the target, exactly in both modes.  Weak mode solves LP(1) once:
+w is linear in u there, so eta*^2 = 1 / w(1).  Strict mode starts from
+the weak threshold and cuts it down with the duals or Farkas vectors of
+LP(u) (Kelley's cutting planes; see ``_strict_threshold``), a few LPs in
+all.  Either way eta=0 needs no LP, since the never-click strategy
+reproduces an empty coincidence block.
 
 The no-detection outcome is always the last outcome index.
 """
@@ -151,24 +158,28 @@ def _loophole_block(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.n
     return strategies, tables, rows
 
 
-def _loophole_lp(target: Behavior, eta: float, mode: ConstraintMode) -> LocalModel | None:
-    strategies, tables, rows = _loophole_block(target.scenario)
+def _threshold_lp(target: Behavior, u: float, mode: ConstraintMode) -> lp.SimplexResult:
+    """LP(u) of the module docstring on the cached loophole rows; weak mode
+    keeps only the click-click rows."""
+    _, tables, rows = _loophole_block(target.scenario)
     k = len(rows) if mode == "strict" else target.p.size
-    # Coincidence block: model mass on (a, b) clicks equals eta^2 * target;
-    # in strict mode the click rows pin each side's click rate to eta for
-    # every setting; then total mass 1 (one whole (alpha, beta) block).
-    total = np.zeros(tables.shape[1])
-    total[:9] = 1.0
-    rhs = np.concatenate([eta * eta * target.p.ravel(), np.full(k - target.p.size, eta), np.ones(1)])
-    result = lp.solve_standard_form(
-        np.vstack([rows[:k], np.ones(len(strategies))]),
-        rhs,
-        feas_tol=DEFAULT_TOL,
-        price=_table_price(target.scenario.with_no_click(), np.vstack([tables[:k], total])),
+    rhs = np.concatenate([u * target.p.ravel(), np.ones(k - target.p.size)])
+    return lp.solve_standard_form(
+        rows[:k], rhs, np.ones(rows.shape[1]), feas_tol=DEFAULT_TOL,
+        price=_table_price(target.scenario.with_no_click(), tables[:k]),
     )
-    if result.status == lp.INFEASIBLE:
-        return None
-    return _solution_model(result.x, strategies)
+
+
+def _feasible(result: lp.SimplexResult, u: float) -> bool:
+    return result.status == lp.OPTIMAL and u * result.objective <= 1.0 + DEFAULT_TOL
+
+
+def _padded_model(result: lp.SimplexResult, u: float, scenario: Scenario) -> LocalModel:
+    """The model u r of LP(u)'s optimum r, its mass made up to 1 by the
+    never-click strategy (the last one)."""
+    weights = u * result.x
+    weights[-1] += max(1.0 - weights.sum(), 0.0)
+    return _solution_model(weights, _loophole_block(scenario)[0])
 
 
 def _check_target(target: Behavior, mode: ConstraintMode) -> None:
@@ -185,14 +196,17 @@ def construct_loophole_model(
 ) -> LocalModel | None:
     """Local three-outcome model reproducing ``target`` after post-selection.
 
-    The LP constrains the model's click-click block to eta^2 * target for
-    every setting pair ("weak" mode); "strict" mode additionally pins each
-    side's click probability to eta for every setting.  Returns None when
-    no such model exists at this efficiency.
+    The model's click-click block is eta^2 * target for every setting pair
+    ("weak" mode); "strict" mode additionally pins each side's click
+    probability to eta for every setting.  One LP, the threshold LP at
+    u = eta, decides; returns None when no such model exists.
     """
     _check_eta(eta)
     _check_target(target, mode)
-    return _loophole_lp(target, eta, mode)
+    result = _threshold_lp(target, eta, mode)
+    if not _feasible(result, eta):
+        return None
+    return _padded_model(result, eta, target.scenario)
 
 
 def _certified_trace(eta: float, tol_eta: float) -> tuple[tuple[float, bool], ...]:
@@ -205,23 +219,18 @@ def _certified_trace(eta: float, tol_eta: float) -> tuple[tuple[float, bool], ..
 
 
 def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
-    # A weak model at eta is q >= 0 with M_coinc q = eta^2 p and 1'q = 1.
-    # Each strategy clicks on both sides for a setting pair or not, so
-    # 1'r >= 1 whenever M_coinc r = p; r = q / eta^2 turns the largest
-    # feasible eta^2 into 1 / min 1'r, and q = r / 1'r is the model there.
+    # Weak LP(u) has no click rows, so w(u) = u w(1) and u is feasible iff
+    # u^2 w(1) <= 1: eta* = 1 / sqrt(w(1)), one LP.  LP(eta*)'s optimum is
+    # eta* r, so the model at eta* is r / w(1), which needs no pad (w(1) >= 1:
+    # each strategy clicks on both sides for a setting pair or not).
     # The strategies that click at one setting per side are unit columns of
     # M_coinc, so r = p on them is the solver's starting basis: phase 1 makes
     # no pivot.
-    strategies, tables, rows = _loophole_block(target.scenario)
-    k = target.p.size
-    result = lp.solve_standard_form(
-        rows[:k], target.p.ravel(), np.ones(len(strategies)), feas_tol=DEFAULT_TOL,
-        price=_table_price(target.scenario.with_no_click(), tables[:k]),
-    )
+    result = _threshold_lp(target, 1.0, "weak")
     if result.status != lp.OPTIMAL:  # pragma: no cover - one-cell strategies reach any p
         raise ArithmeticError(f"weak threshold LP ended {result.status}")
-    model = _solution_model(result.x, strategies)
-    if result.objective <= 1.0 + DEFAULT_TOL:
+    model = _solution_model(result.x, _loophole_block(target.scenario)[0])
+    if _feasible(result, 1.0):
         return ThresholdResult(1.0, "weak", model, ((0.0, True), (1.0, True)))
     eta = math.sqrt(1.0 / result.objective)
     return ThresholdResult(eta, "weak", model, _certified_trace(eta, tol_eta))
@@ -233,27 +242,21 @@ def _strict_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     weak = _weak_threshold(target, tol_eta)
     if weak.eta_star == 1.0:
         return replace(weak, mode="strict")
-    # With r = q / u a strict model at u is r >= 0 with M_coinc r = u p,
-    # C_a r = 1, C_b r = 1 and 1'r <= 1/u (the never-click strategy pads the
-    # mass), so u is feasible iff u w(u) <= 1 for w(u) = min 1'r over that
-    # LP(u), whose right-hand side is b0 + u b1.  Any dual y of LP(u) gives
-    # w(u') >= a + b u' with a = y'b0, b = y'b1, so every u' with
+    # LP(u)'s right-hand side is b0 + u b1, so any dual y of it gives
+    # w(u') >= a + b u' with a = y'b0, b = y'b1, and every u' with
     # b u'^2 + a u' > 1 fails; a Farkas vector rules out a + b u' > 0.  The
     # feasible u form an interval [0, eta*] (a model at u mixed with
     # one-sided strategies and never-click gives one at any u' < u), so
     # stepping down to the smallest u each cut allows reaches eta* from above.
-    strategies, tables, a_eq = _loophole_block(target.scenario)
-    price = _table_price(target.scenario.with_no_click(), tables)
-    k = target.p.size
-    b0 = np.concatenate([np.zeros(k), np.ones(len(a_eq) - k)])
-    b1 = np.concatenate([target.p.ravel(), np.zeros(len(a_eq) - k)])
-    cost = np.ones(len(strategies))
+    k, clicks = target.p.size, target.scenario.settings_a + target.scenario.settings_b
+    b0 = np.concatenate([np.zeros(k), np.ones(clicks)])
+    b1 = np.concatenate([target.p.ravel(), np.zeros(clicks)])
     u = weak.eta_star
     while True:
-        result = lp.solve_standard_form(a_eq, b0 + u * b1, cost, feas_tol=DEFAULT_TOL, price=price)
+        result = _threshold_lp(target, u, "strict")
+        if _feasible(result, u):
+            break
         if result.status == lp.OPTIMAL:
-            if u * result.objective <= 1.0 + DEFAULT_TOL:
-                break
             a, b = float(result.duals @ b0), float(result.duals @ b1)
             root = a * a + 4.0 * b  # b u^2 + a u = 1 first at u = 2 / (a + sqrt(root))
             step = 2.0 / (a + math.sqrt(root)) if b > 0.0 or (a > 0.0 and root >= 0.0) else math.nan
@@ -265,9 +268,7 @@ def _strict_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
         if not 0.0 < step < u:
             raise ArithmeticError(f"strict threshold cut at eta={u!r} gave {step!r}")
         u = step
-    weights = u * result.x
-    weights[-1] += max(1.0 - weights.sum(), 0.0)
-    model = _solution_model(weights, strategies)
+    model = _padded_model(result, u, target.scenario)
     return ThresholdResult(u, "strict", model, _certified_trace(u, tol_eta))
 
 

@@ -210,13 +210,6 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     return price
 
 
-def _strategy_values(scenario: Scenario, table: np.ndarray) -> np.ndarray:
-    """A table's value sum_{alpha,beta} table[alpha, beta, f_a(alpha),
-    f_b(beta)] on every strategy, in strategy order: the same numbers as
-    ``_vertex_data(scenario)[1] @ table.ravel()``, without the vertex matrix."""
-    return _table_price(scenario)(np.ravel(table))
-
-
 @dataclass(frozen=True, eq=False)
 class VertexBounds:
     """Exact extrema of a functional over all deterministic local strategies."""
@@ -234,7 +227,7 @@ def functional_vertex_bounds(f: BellFunctional) -> VertexBounds:
     so this is the oracle for local bounds.
     """
     strategies, _, _ = _side_factors(f.scenario)
-    values = _strategy_values(f.scenario, f.coefficients)
+    values = _table_price(f.scenario)(f.coefficients.ravel())  # its value on each strategy
     imin = int(values.argmin())
     imax = int(values.argmax())
     return VertexBounds(float(values[imin]), float(values[imax]), strategies[imin], strategies[imax])

@@ -366,13 +366,29 @@ class TestStrictThreshold:
             bb.critical_efficiency(chained_target, mode="strict")
 
     def test_feasibility_flips_once_on_a_grid(self, chained_target):
-        # The feasible efficiencies form the interval [0, eta*].
-        # (Strict probes below 0.6 take thousands of phase-1 pivots on 3x3.)
-        for target, grid in ((tsirelson_target(), np.linspace(0.0, 1.0, 41)[1:]),
-                             (chained_target, np.linspace(0.6, 1.0, 40))):
-            eta_star = bb.critical_efficiency(target, mode="strict").eta_star
-            feasible = [bb.construct_loophole_model(target, eta, "strict") is not None for eta in grid]
-            assert feasible == list(grid <= eta_star)
+        # In either mode the feasible efficiencies form the interval [0, eta*].
+        grid = np.linspace(0.0, 1.0, 41)
+        for mode in ("strict", "weak"):
+            for target in (tsirelson_target(), chained_target):
+                eta_star = bb.critical_efficiency(target, mode=mode).eta_star
+                feasible = [bb.construct_loophole_model(target, eta, mode) is not None for eta in grid]
+                assert feasible == list(grid <= eta_star)
+
+    def test_singlet4_probes_against_highs(self):
+        # The strict probe on the 4x4 singlet at eta = 0.5 once ran into the
+        # simplex pivot limit; its eta* is 0.8469.
+        target = singlet4()
+        model = bb.construct_loophole_model(target, 0.5, "strict")
+        assert model is not None
+        q = bb.model_behavior(model, target.scenario.with_no_click())
+        selected, rates = bb.post_select(q)
+        assert np.abs(selected.p - target.p).max() <= 1e-9
+        np.testing.assert_allclose(rates, 0.25, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(q.p[:, :, :2, :].sum(axis=(2, 3)), 0.5, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(q.p[:, :, :, :2].sum(axis=(2, 3)), 0.5, rtol=0.0, atol=1e-9)
+        assert highs_strict_feasible(target, 0.5)
+        assert bb.construct_loophole_model(target, 0.9, "strict") is None
+        assert not highs_strict_feasible(target, 0.9)
 
     def test_noisy_singlets_against_highs(self):
         rng = np.random.default_rng(8)

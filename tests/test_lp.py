@@ -175,6 +175,8 @@ def assert_no_artificial_enters(entering):
 def test_pinned_pivot_counts(solves, entering, chained_target):
     # Per-phase pivot counts on a weak and a strict loophole probe and a 4x4
     # membership LP: the pivot rule, not just the verdict, is pinned.  The
+    # weak probe's crash basis is feasible, so phase 1 makes no pivot, and
+    # its verdict comes from the optimum's mass (0.9 w(0.9) > 1).  The
     # membership LP has no unit column, so its crash basis is all artificial.
     chsh = singlet((0.0, 90.0), (45.0, 135.0))
     assert bb.construct_loophole_model(chsh, 0.9, "weak") is None
@@ -184,10 +186,16 @@ def test_pinned_pivot_counts(solves, entering, chained_target):
     assert bb.classify(bb.validate_behavior(bb.Scenario(4, 4), p)).kind == bb.ClassificationKind.LOCAL
     statuses = [(result.status, result.pivots) for _, _, result in solves]
     assert statuses == [
-        (lp.INFEASIBLE, (23, 0)),
-        (lp.OPTIMAL, (1212, 0)),
+        (lp.OPTIMAL, (0, 16)),
+        (lp.OPTIMAL, (846, 63)),
         (lp.OPTIMAL, (273, 0)),
     ]
+    # The same two probe LPs, min 1'r, by HiGHS.
+    for a, b, result in solves[:2]:
+        reference = scipy_solve(a, b, np.ones(a.shape[1]))
+        assert reference.status == 0
+        assert result.objective == pytest.approx(reference.fun, abs=1e-9)
+    assert 0.9 * solves[0][2].objective > 1.0 + 1e-9
     assert_no_artificial_enters(entering)
 
 
@@ -234,16 +242,23 @@ def test_random_programs_agree_with_highs(entering):
 @pytest.mark.parametrize("mode", ["strict", "weak"])
 @pytest.mark.parametrize("size", [2, 3])
 def test_loophole_programs_agree_with_highs(solves, entering, chained_target, size, mode):
+    # Each probe solves min 1'r over its LP: the optimum, or in strict mode
+    # the Farkas certificate, must match HiGHS.  The weak LP always has a
+    # solution (its one-cell strategies reach any target), so there the
+    # optimum's mass alone rules an efficiency out.
     target = singlet((0.0, 90.0), (45.0, 135.0)) if size == 2 else chained_target
-    for eta in (0.5, 0.82, 0.95):
-        bb.construct_loophole_model(target, eta, mode)
+    found = [bb.construct_loophole_model(target, eta, mode) is not None for eta in (0.5, 0.82, 0.95)]
+    assert found[0] and not found[2]
     for a, b, result in solves:
-        reference = scipy_solve(a, b, np.zeros(a.shape[1]))
+        reference = scipy_solve(a, b, np.ones(a.shape[1]))
         assert reference.status in (0, 2)
         assert result.status == (lp.OPTIMAL if reference.status == 0 else lp.INFEASIBLE)
-        if result.status == lp.INFEASIBLE:
+        if result.status == lp.OPTIMAL:
+            assert result.objective == pytest.approx(reference.fun, abs=1e-9)
+        else:
             assert_farkas(result, a, b)
-    assert {result.status for _, _, result in solves} == {lp.OPTIMAL, lp.INFEASIBLE}
+    expected = {lp.OPTIMAL, lp.INFEASIBLE} if mode == "strict" else {lp.OPTIMAL}
+    assert {result.status for _, _, result in solves} == expected
     assert_no_artificial_enters(entering)
 
 

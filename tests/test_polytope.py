@@ -5,7 +5,7 @@ import pytest
 
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
-from bellbox.polytope import _strategy_values, _vertex_data
+from bellbox.polytope import _table_price, _vertex_data
 from conftest import random_behavior, random_local_model
 
 S3 = bb.Scenario(3, 3)
@@ -168,7 +168,7 @@ def test_strategy_values_match_the_vertex_matrix(scenario):
         np.testing.assert_array_equal(matrix, tables)
     rng = np.random.default_rng(17)
     for table in (rng.normal(size=scenario.shape), rng.integers(-3, 4, size=scenario.shape)):
-        values = _strategy_values(scenario, table)
+        values = _table_price(scenario)(table.ravel())
         np.testing.assert_allclose(values, matrix @ table.ravel(), rtol=0.0, atol=1e-12)
 
 
