@@ -53,6 +53,7 @@ from .polytope import (
     DEFAULT_TOL,
     LocalModel,
     LocalStrategy,
+    _priced_rows,
     _side_factors,
     _solution_model,
     _table_price,
@@ -136,8 +137,8 @@ def _loophole_block(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.n
     on them: one per click-click cell (alpha, beta, a, b), then the click
     rows C_a (1 where f_a(alpha) != 2) and C_b.  Each row comes twice: as
     the flattened table whose values on the strategies are the row (for
-    ``_table_price``), and as those values.  The never-click strategy is
-    the last one."""
+    ``_table_price``), and as those values (``_priced_rows``).  The
+    never-click strategy is the last one."""
     extended = scenario.with_no_click()
     strategies = _side_factors(extended)[0]
     sa, sb = scenario.settings_a, scenario.settings_b
@@ -151,11 +152,8 @@ def _loophole_block(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.n
         clicks_a.reshape(sa, -1),
         clicks_b.reshape(sb, -1),
     ])
-    values = _table_price(extended)  # a table's values on every strategy
-    rows = np.array([values(table) for table in tables])
     tables.flags.writeable = False
-    rows.flags.writeable = False
-    return strategies, tables, rows
+    return strategies, tables, _priced_rows(_table_price(extended, tables), len(tables))
 
 
 def _threshold_lp(target: Behavior, u: float, mode: ConstraintMode) -> lp.SimplexResult:

@@ -8,6 +8,11 @@ functional (a Farkas certificate) that doubles as a Bell-type witness:
 it evaluates strictly below its own minimum over all deterministic
 strategies on the tested behavior.
 
+The local visibility (Kaszlikowski et al., PRL 85:4418, 2000), the largest
+v with v b + (1-v) u local for the uniform u, is 1/w for the gauge LP
+w = min 1'r s.t. sum_j r_j (a_j - u) = b - u, r >= 0, over the strategy
+tables a_j.  Every LP's rows are the prices of the unit vectors.
+
 Classification of a behavior is three-way:
 
 * signalling -- some output marginal depends on the distant input;
@@ -175,18 +180,6 @@ def _side_factors(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.nda
     return tuple(strategies), factors[0], factors[1]
 
 
-@functools.lru_cache(maxsize=32)
-def _vertex_data(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray]:
-    """All strategies plus the matrix of their flattened behavior tables."""
-    strategies, side_a, side_b = _side_factors(scenario)
-    sa, sb, ka, kb = scenario.shape
-    ind_a = side_a.reshape(-1, 1, sa, 1, ka, 1)
-    ind_b = side_b.reshape(1, -1, 1, sb, 1, kb)
-    matrix = (ind_a * ind_b).reshape(len(strategies), -1)
-    matrix.flags.writeable = False
-    return strategies, matrix
-
-
 def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     """The price y -> y @ A of LP rows that are table functionals on the
     strategies: row i holds the values of table ``tables[i]`` (flattened) on
@@ -208,6 +201,25 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
         return np.dot(np.dot(side_a, t), side_b).ravel()
 
     return price
+
+
+def _priced_rows(price, m: int, order: str = "C") -> np.ndarray:
+    """The m LP rows whose price y -> y @ rows is ``price``: row i is
+    price(e_i), so rows and price agree.  Read-only, in numpy ``order``."""
+    rows = np.array([price(e) for e in np.eye(m)], order=order)
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _locality_lp(scenario: Scenario, gauge: bool):
+    """Membership LP rows, one per cell (the vertex matrix's transpose), or
+    with ``gauge`` the visibility rows, the cells less the uniform behavior
+    u; then their price and u.  Column-contiguous, as the simplex reads A."""
+    cell_price = _table_price(scenario)
+    u = uniform_behavior(scenario).p.ravel()
+    price = (lambda y: cell_price(y) - y @ u) if gauge else cell_price
+    return _priced_rows(price, u.size, "F"), price, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +258,11 @@ def _solution_model(
 
 
 def _membership_lp(b: Behavior, tol: float) -> tuple[LocalModel | None, np.ndarray | None]:
-    strategies, matrix = _vertex_data(b.scenario)
-    result = lp.solve_standard_form(
-        matrix.T, b.p.ravel(), feas_tol=tol, price=_table_price(b.scenario)
-    )
+    rows, price, _ = _locality_lp(b.scenario, False)
+    result = lp.solve_standard_form(rows, b.p.ravel(), feas_tol=tol, price=price)
     if result.status == lp.INFEASIBLE:
         return None, result.farkas
-    return _solution_model(result.x, strategies), None
+    return _solution_model(result.x, _side_factors(b.scenario)[0]), None
 
 
 def _witness_from_certificate(b: Behavior, certificate: np.ndarray) -> BellFunctional:
@@ -295,41 +305,26 @@ def classify(b: Behavior, tol: float = DEFAULT_TOL) -> Classification:
 def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
     """Largest v in [0, 1] with v*b + (1-v)*uniform still local.
 
-    Single LP with the visibility as an extra variable.  Returns exactly 1
-    when v = 1 is feasible within ``tol``, so for behaviors that are
-    already local; requires a nonsignalling input.  ``tol`` must lie in
-    (0, 0.1].
+    The gauge of b - u in the cone of the strategy tables a_j less the
+    uniform behavior u: v b + (1-v) u is local iff b - u = sum_j r_j (a_j - u)
+    for some r >= 0 with 1'r <= 1/v.  One LP, w = min 1'r over those r, gives
+    v = 1/w, and exactly 1 when w <= 1 + ``tol``, so for behaviors that are
+    already local.  Requires a nonsignalling input: a defect above ``tol``,
+    or an LP residual above ``tol`` (b - u outside the cone's span), raises
+    SignallingInput.  ``tol`` must lie in (0, 0.1].
     """
     _check_tol(tol)
     defect = nonsignalling_defect(b)
     if defect > tol:
         raise SignallingInput(f"nonsignalling defect {defect:.3g} exceeds tol {tol:.3g}")
-    _, matrix = _vertex_data(b.scenario)
-    n = matrix.shape[0]
-    u = uniform_behavior(b.scenario).p.ravel()
-    direction = b.p.ravel() - u
-    cells = matrix.shape[1]
-    # Columns: strategy weights, v, slack for v <= 1.
-    a_eq = np.zeros((cells + 1, n + 2))
-    a_eq[:cells, :n] = matrix.T
-    a_eq[:cells, n] = -direction
-    a_eq[cells, n] = 1.0
-    a_eq[cells, n + 1] = 1.0
-    rhs = np.concatenate([u, [1.0]])
-    cost = np.zeros(n + 2)
-    cost[n] = -1.0  # maximize v
-    strategy_price = _table_price(b.scenario)
-
-    def price(y):
-        # y @ a_eq: the strategies through the side factors, then v and the slack.
-        cell = y[:cells]
-        return np.concatenate([strategy_price(cell), [y[cells] - cell @ direction, y[cells]]])
-
-    result = lp.solve_standard_form(a_eq, rhs, cost, feas_tol=tol, price=price)
-    if result.status != lp.OPTIMAL:  # pragma: no cover - v=0 is always feasible
-        raise ArithmeticError(f"visibility LP ended {result.status}")
-    v = float(result.x[n])
-    return 1.0 if v >= 1.0 - tol else max(v, 0.0)
+    rows, price, u = _locality_lp(b.scenario, True)
+    result = lp.solve_standard_form(
+        rows, b.p.ravel() - u, np.ones(rows.shape[1]), feas_tol=tol, price=price
+    )
+    if result.status != lp.OPTIMAL:  # 1'r >= 0 bounds the LP, so it is infeasible
+        residual = result.infeasibility
+        raise SignallingInput(f"visibility LP residual {residual:.3g} exceeds tol {tol:.3g}")
+    return 1.0 if result.objective <= 1.0 + tol else 1.0 / result.objective
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,15 @@ def random_local_model(
     picks = rng.choice(len(strategies), size=support, replace=False)
     weights = rng.dirichlet(np.ones(support))
     return bb.LocalModel(tuple(strategies[i] for i in picks), weights)
+
+
+@functools.lru_cache(maxsize=None)
+def vertex_data(scenario: bb.Scenario) -> tuple[list[bb.LocalStrategy], np.ndarray]:
+    """Oracle: every strategy, and the vertex matrix whose row i is strategy i's
+    flattened behavior table, stacked from ``strategy_behavior`` and so
+    independent of the side factors that the package's LP rows come from.
+    Read-only; callers must not write to it."""
+    strategies = bb.enumerate_strategies(scenario)
+    matrix = np.array([bb.strategy_behavior(s, scenario).p.ravel() for s in strategies])
+    matrix.flags.writeable = False
+    return strategies, matrix

@@ -13,8 +13,7 @@ from bellbox.errors import (
     SignallingTarget,
     ZeroCoincidence,
 )
-from bellbox.polytope import _vertex_data
-from conftest import random_behavior, random_local_model
+from conftest import random_behavior, random_local_model, vertex_data
 
 S2 = bb.Scenario(2, 2)
 S3 = bb.Scenario(3, 3)
@@ -238,7 +237,7 @@ class TestWeakThreshold:
         target = singlet4()
         result = bb.critical_efficiency(target, mode="weak")
         # The same LP, min 1'r s.t. M_coinc r = p, r >= 0, by HiGHS.
-        _, matrix = _vertex_data(bb.Scenario(4, 4).with_no_click())
+        _, matrix = vertex_data(bb.Scenario(4, 4).with_no_click())
         coincidence = matrix.reshape(-1, 4, 4, 3, 3)[:, :, :, :2, :2].reshape(matrix.shape[0], -1).T
         reference = linprog(
             np.ones(matrix.shape[0]), A_eq=coincidence, b_eq=target.p.ravel(),
@@ -288,7 +287,7 @@ def click_rows(strategies, sa: int, sb: int) -> np.ndarray:
 
 def highs_strict_feasible(target: bb.Behavior, eta: float) -> bool:
     """The strict loophole LP at eta by HiGHS."""
-    strategies, matrix = _vertex_data(target.scenario.with_no_click())
+    strategies, matrix = vertex_data(target.scenario.with_no_click())
     sa, sb = target.scenario.settings_a, target.scenario.settings_b
     rows = [matrix.reshape(-1, sa, sb, 3, 3)[:, :, :, :2, :2].reshape(len(strategies), -1).T]
     rows += [click_rows(strategies, sa, sb), np.ones((1, len(strategies)))]
@@ -308,7 +307,7 @@ def test_click_rows_match_the_strategies(settings):
     cells = np.prod(settings) * 4
     np.testing.assert_array_equal(rows[cells:], click_rows(strategies, *settings))
     # The click-click rows are the vertex matrix's click-click columns.
-    _, matrix = _vertex_data(scenario.with_no_click())
+    _, matrix = vertex_data(scenario.with_no_click())
     coincidence = matrix.reshape(-1, *settings, 3, 3)[:, :, :, :2, :2].reshape(len(strategies), -1).T
     np.testing.assert_array_equal(rows[:cells], coincidence)
     assert (strategies[-1].f_a, strategies[-1].f_b) == ((2,) * settings[0], (2,) * settings[1])

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 import bellbox as bb
 from bellbox import lp
-from bellbox.polytope import _vertex_data
+from conftest import vertex_data
 
 
 def scipy_solve(a, b, c):
@@ -263,7 +263,7 @@ def test_loophole_programs_agree_with_highs(solves, entering, chained_target, si
 
 
 def test_read_only_input_accepted_and_caller_arrays_untouched():
-    _, matrix = _vertex_data(bb.Scenario(2, 2))
+    _, matrix = vertex_data(bb.Scenario(2, 2))
     assert not matrix.flags.writeable
     p = singlet((0.0, 90.0), (45.0, 135.0)).p.ravel()
     result = lp.solve_standard_form(matrix.T, p)
@@ -290,10 +290,27 @@ def noisy_singlet(n, visibility, angles_a, angles_b) -> bb.Behavior:
     return bb.validate_behavior(bb.Scenario(n, n), p)
 
 
+def visibility_with_a_v_column(b: bb.Behavior) -> lp.SimplexResult:
+    """max v s.t. A x - v (p - u) = u, v + s = 1, over the oracle's vertex matrix
+    A, dense-priced: visibility as one LP with v and its slack as columns."""
+    _, matrix = vertex_data(b.scenario)
+    cells, n = matrix.shape[1], matrix.shape[0]
+    u = bb.uniform_behavior(b.scenario).p.ravel()
+    a = np.zeros((cells + 1, n + 2))
+    a[:cells, :n] = matrix.T
+    a[:cells, n] = u - b.p.ravel()
+    a[cells, n:] = 1.0
+    cost = np.zeros(n + 2)
+    cost[n] = -1.0
+    return lp.solve_standard_form(a, np.append(u, 1.0), cost)
+
+
 def test_small_pivot_rebuilds_the_inverse(monkeypatch):
-    # A 5x5 visibility LP degenerate enough that roundoff in the updated basis
-    # inverse grows into a pivot element below _SMALL_PIVOT.  No membership LP
-    # among thousands of seeded 3x3-6x6 classifies takes that path.
+    # A 5x5 visibility LP, with v as a column, degenerate enough that roundoff
+    # in the updated basis inverse grows into a pivot element below
+    # _SMALL_PIVOT.  No membership LP among thousands of seeded 3x3-6x6
+    # classifies takes that path, nor any gauge visibility LP (local_visibility)
+    # among 506 seeded 2x2-6x6 noisy singlets.
     rebuilds = []
     refactor = lp._Basis.refactor
 
@@ -303,8 +320,11 @@ def test_small_pivot_rebuilds_the_inverse(monkeypatch):
 
     monkeypatch.setattr(lp._Basis, "refactor", spy)
     b = noisy_singlet(5, 0.798, (7.5, 19.1, 228.5, 138.6, 125.2), (254.9, 310.7, 217.2, 270.7, 230.4))
-    assert bb.local_visibility(b) == pytest.approx(0.967855784246429, abs=1e-9)  # HiGHS
+    result = visibility_with_a_v_column(b)
+    assert result.status == lp.OPTIMAL
     assert rebuilds
+    assert -result.objective == pytest.approx(0.967855784246429, abs=1e-9)  # HiGHS
+    assert bb.local_visibility(b) == pytest.approx(0.967855784246429, abs=1e-9)
     # A 4x4 visibility LP that once grew a 7e-9 pivot element; the tableau
     # solver hit its pivot limit on it.  HiGHS gives 0.93387677351981.
     b = noisy_singlet(4, 0.777, (151.2, 90.0, 63.5, 49.8), (90.2, 133.9, 299.2, 211.3))
@@ -457,7 +477,7 @@ def test_loose_tolerance_accepts_a_slightly_nonlocal_behavior():
     behavior = bb.validate_behavior(bb.Scenario(2, 2), noisy)
     assert bb.classify(behavior).kind == bb.ClassificationKind.WEAKLY_NONLOCAL
     assert bb.classify(behavior, tol=0.01).kind == bb.ClassificationKind.LOCAL
-    _, matrix = _vertex_data(bb.Scenario(2, 2))
+    _, matrix = vertex_data(bb.Scenario(2, 2))
     result = lp.solve_standard_form(matrix.T, noisy.ravel(), feas_tol=0.01)
     assert result.status == lp.OPTIMAL
     assert 0.0 < result.infeasibility <= 0.01

@@ -11,6 +11,7 @@ from bellbox.errors import (
     DuplicateSetting,
     NegativeEntry,
     ScenarioMismatch,
+    ScenarioTooSmall,
     SchemaError,
     SettingOutOfRange,
     ShapeMismatch,
@@ -37,6 +38,20 @@ class TestScenario:
     def test_rejects_zero_settings(self):
         with pytest.raises(bb.BellBoxError):
             bb.Scenario(0, 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bb.Scenario(0, 2),
+            lambda: bb.Scenario(2, 0),
+            lambda: bb.wigner_literal(0, bb.Scenario(2, 2)),
+            lambda: bb.chsh_functional(scenario=bb.Scenario(1, 2)),
+        ],
+        ids=["no-settings-a", "no-settings-b", "wigner-2x2", "chsh-1x2"],
+    )
+    def test_too_few_settings(self, build):
+        with pytest.raises(ScenarioTooSmall, match="need at least"):
+            build()
 
     def test_with_no_click(self):
         extended = S3.with_no_click()

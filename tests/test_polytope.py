@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
-from bellbox.polytope import _table_price, _vertex_data
-from conftest import random_behavior, random_local_model
+from bellbox.polytope import _locality_lp, _side_factors, _table_price
+from conftest import random_behavior, random_local_model, vertex_data
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -160,12 +161,16 @@ VALUE_SCENARIOS = [bb.Scenario(n, n) for n in (2, 3, 4, 5)] + [
     "scenario", VALUE_SCENARIOS, ids=lambda s: f"{s.settings_a}x{s.settings_b}-{s.outcomes_a.size}"
 )
 def test_strategy_values_match_the_vertex_matrix(scenario):
-    # The side-factor product against the dense vertex matrix, whose rows are
-    # checked against each strategy's own behavior table where that is quick.
-    strategies, matrix = _vertex_data(scenario)
-    if len(strategies) <= 1024:
-        tables = [bb.strategy_behavior(s, scenario).p.ravel() for s in strategies]
-        np.testing.assert_array_equal(matrix, tables)
+    # The side-factor product against the oracle's vertex matrix, stacked from
+    # each strategy's own behavior table; the cached LP rows must be the
+    # oracle's exactly: the cells for membership, the cells less the uniform
+    # behavior for visibility.
+    strategies, matrix = vertex_data(scenario)
+    assert _side_factors(scenario)[0] == tuple(strategies)
+    cells, _, u = _locality_lp(scenario, False)
+    np.testing.assert_array_equal(cells, matrix.T)
+    shifted, _, _ = _locality_lp(scenario, True)
+    np.testing.assert_array_equal(shifted, matrix.T - u[:, None])
     rng = np.random.default_rng(17)
     for table in (rng.normal(size=scenario.shape), rng.integers(-3, 4, size=scenario.shape)):
         values = _table_price(scenario)(table.ravel())
@@ -277,6 +282,13 @@ class TestClassify:
             assert verdict.kind is bb.ClassificationKind.LOCAL
 
 
+def noisy_singlet(rng: np.random.Generator, n: int, visibility: float) -> bb.Behavior:
+    """The singlet at random analyzer angles, mixed with uniform noise."""
+    plan = bb.MeasurementPlan.from_degrees(rng.uniform(0, 360, n), rng.uniform(0, 360, n))
+    p = visibility * bb.behavior_from_state(bb.SINGLET, plan).p + (1.0 - visibility) / 4.0
+    return bb.validate_behavior(bb.Scenario(n, n), p)
+
+
 class TestLocalVisibility:
     def test_local_behavior_gives_one(self):
         rng = np.random.default_rng(41)
@@ -326,6 +338,46 @@ class TestLocalVisibility:
         rng = np.random.default_rng(4)
         with pytest.raises(SignallingInput):
             bb.local_visibility(random_behavior(rng, S2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_noisy_singlets_match_highs(self, n):
+        # HiGHS solves max v s.t. v (p - u) + u = A x, 1'x = 1 implied, v <= 1
+        # on the oracle's vertex matrix: the v-column LP, not the gauge LP.
+        rng = np.random.default_rng(100 + n)
+        _, matrix = vertex_data(bb.Scenario(n, n))
+        for _ in range(6):
+            b = noisy_singlet(rng, n, rng.uniform(0.55, 1.0))
+            u = bb.uniform_behavior(b.scenario).p.ravel()
+            reference = linprog(
+                np.append(np.zeros(len(matrix)), -1.0),
+                A_eq=np.hstack([matrix.T, (u - b.p.ravel())[:, None]]), b_eq=u,
+                bounds=[(0, None)] * len(matrix) + [(0, 1)], method="highs",
+            )
+            assert reference.status == 0
+            assert bb.local_visibility(b) == pytest.approx(reference.x[-1], abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [0.01, 0.1])
+    def test_estimated_singlets_get_a_visibility_or_signalling_input(self, tol):
+        # Tallies of 10^5 runs per setting pair are signalling by a few 1e-3,
+        # and the gauge LP's residual may then exceed tol: the input is not
+        # nonsignalling within tol.  Otherwise the estimate's visibility is
+        # never 0 and not below the exact one by more than the sampling noise
+        # (tol lets it read high).
+        rng = np.random.default_rng(5)
+        answered = 0
+        for n in (2, 3, 4):
+            for _ in range(8):
+                exact = noisy_singlet(rng, n, rng.uniform(0.7, 1.0))
+                counts = [rng.multinomial(10**5, block.ravel()) for block in exact.p.reshape(n * n, 4)]
+                estimate = bb.validate_behavior(exact.scenario, np.reshape(counts, exact.p.shape) / 10**5)
+                try:
+                    v = bb.local_visibility(estimate, tol=tol)
+                except SignallingInput:
+                    continue
+                answered += 1
+                assert 0.0 < v <= 1.0
+                assert v >= bb.local_visibility(exact) - 0.01
+        assert answered
 
 
 class TestLocalModelJson:
