@@ -256,8 +256,8 @@ def _cmd_efficiency(ns) -> int:
 
 
 def _cmd_audit(ns) -> int:
-    tally = runs.tally_run_log(ns.runs)
     geometry = _parse_geometry(ns.geometry)
+    tally = runs.tally_run_log(ns.runs)
     locality = runs.locality_audit(geometry)
     randomness = runs.randomness_audit(tally)
     _emit(

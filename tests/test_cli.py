@@ -287,6 +287,15 @@ class TestAudit:
         assert code == 0
         assert json.loads(stdout)["locality"]["pass"] is False
 
+    def test_bad_geometry_exits_2_before_reading_the_log(self, tmp_path, capsys):
+        # The flag is checked first, so a bad one costs no pass over a long log.
+        missing = tmp_path / "missing.jsonl"
+        code, stdout, stderr = run_cli(capsys, "audit", "--runs", str(missing), "--geometry", "400")
+        assert code == 2
+        assert stdout == ""
+        assert "--geometry takes L,T" in stderr
+        assert "missing.jsonl" not in stderr
+
 
 class TestRunLogTimes:
     @pytest.mark.parametrize("command", ["estimate", "audit"])

@@ -7,7 +7,7 @@ import scipy.stats
 
 import bellbox as bb
 from bellbox import runs
-from bellbox.errors import EmptySettingPair, MixedScenario, SchemaError, SizeLimit
+from bellbox.errors import BellBoxError, EmptySettingPair, MixedScenario, SchemaError, SizeLimit
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -431,6 +431,170 @@ class TestRunLogStreaming:
         for reader in (bb.read_run_log, bb.tally_run_log):
             with pytest.raises(SchemaError, match=message):
                 reader(path)
+
+
+def _outcome(path) -> list:
+    """What ``tally_run_log`` and ``read_run_log`` make of a log: every bit of their
+    results, or the type and message of the error each raises."""
+    outcome = []
+    for reader in (bb.tally_run_log, bb.read_run_log):
+        try:
+            result = reader(path)
+        except BellBoxError as exc:
+            outcome.append((type(exc), str(exc)))
+            continue
+        arrays = [result.counts] if isinstance(result, bb.Tally) else [
+            getattr(result, field)
+            for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report")
+        ]
+        outcome.append((result.scenario, [(array.dtype.str, array.shape, array.tobytes()) for array in arrays]))
+    return outcome
+
+
+def _json_only(monkeypatch) -> None:
+    """Make the writer-form recognizer decline every chunk, so only the json path reads."""
+    monkeypatch.setattr(runs, "_writer_form_columns", lambda raw, full: None)
+
+
+# Writer-form lines: binary and ternary symbols, multi-digit and negative
+# indices, and short and long times, with and without an exponent.
+_CANONICAL_LINES = [
+    _record_line(0, 0, 1, "+", "-", -1.799250389652762e-08, -9.946706456264212e-07, 1e-06),
+    _record_line(123456, 12, 305, "0", "0", -0.5, -1e-05, 2.5),
+    _record_line(-42, 7, 0, "-", "0", -123456.789, -2.5e+16, 0.0),
+]
+_MUTATION_BYTES = '{}":,.-+019eEx\t'
+
+
+def _long_line(length: int) -> str:
+    """A writer-form record of ``length`` bytes: zeros pad the choice time's fraction."""
+    line = _record_line(1, tca=-0.1)
+    return line.replace("-0.1", "-0.1" + "0" * (length - len(line)))
+
+
+def _mutants(line: str) -> set[str]:
+    """Every single-byte deletion, duplication and substitution from ``_MUTATION_BYTES``."""
+    found = set()
+    for k, ch in enumerate(line):
+        found.add(line[:k] + line[k + 1:])
+        found.add(line[:k] + ch + line[k:])
+        found.update(line[:k] + sub + line[k + 1:] for sub in _MUTATION_BYTES)
+    found.discard(line)
+    return found
+
+
+class TestWriterForm:
+    """The vectorized reader of writer-form lines gives what the json path gives."""
+
+    @pytest.mark.parametrize("line", _CANONICAL_LINES)
+    def test_canonical_lines_take_the_vectorized_path(self, tmp_path, monkeypatch, line):
+        assert runs._writer_form_columns([line + "\n"], True) is not None
+        path = tmp_path / "runs.jsonl"
+        path.write_text(_record_line(0) + "\n" + line + "\n")
+        fast = _outcome(path)
+        _json_only(monkeypatch)
+        assert fast == _outcome(path)
+        assert all(not isinstance(result[0], type) for result in fast)
+
+    @pytest.mark.parametrize("line", _CANONICAL_LINES)
+    def test_mutants_read_as_json_reads_them(self, tmp_path, monkeypatch, line):
+        # Whether or not the recognizer accepts a mutant, both readers must give
+        # what the json path alone gives: the same bits, or the same error with
+        # the same line number.
+        path = tmp_path / "runs.jsonl"
+        mutants = sorted(_mutants(line))
+        fast = []
+        for mutant in mutants:
+            path.write_text(_record_line(0) + "\n" + mutant + "\n")
+            fast.append(_outcome(path))
+        accepted = sum(runs._writer_form_columns([mutant + "\n"], True) is not None for mutant in mutants)
+        assert accepted > 10  # many mutants stay in writer form, so both sides are exercised
+        _json_only(monkeypatch)
+        for mutant, expected in zip(mutants, fast):
+            path.write_text(_record_line(0) + "\n" + mutant + "\n")
+            assert _outcome(path) == expected, mutant
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (_record_line(1, tca=-1e-308).replace("-1e-308", "-1e-400"), ":2: input choices must end before"),
+            (_record_line(1, tca=-1.0).replace("-1.0", "-0.0"), ":2: input choices must end before"),
+            (_record_line(1, tcb=-1.0).replace("-1.0", "-0e-5"), ":2: input choices must end before"),
+            (_record_line(1, tr=-0.0), None),
+            (_record_line(1, tr=1.0).replace("1.0", "1e400"), None),
+            (_record_line(1, tca=-1.0).replace("-1.0", "-162016908386501861442703161748.7e300"), None),
+            (_record_line(10**18), None),
+            (_record_line(10**19 - 1), ": malformed record value"),
+            (_record_line(1, alpha=1).replace('"alpha":1', '"alpha":01'), ":2: not valid JSON"),
+            (_record_line(1).replace('"a":"+"', r'"a":"\u002b"'), None),
+            (_record_line(1).replace(',"beta"', ',\t"beta"'), None),
+            (_record_line(1, tca=-0.1).replace("-0.1", "-0." + "0" * 200 + "1"), None),
+            (_long_line(300), None),
+        ],
+    )
+    def test_edge_tokens(self, tmp_path, monkeypatch, text, expected):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(_record_line(0) + "\n" + text + "\n")
+        fast = _outcome(path)
+        if expected is None:
+            assert all(not isinstance(result[0], type) for result in fast)
+        else:
+            assert all(kind is SchemaError and message.startswith(f"{path}{expected}") for kind, message in fast)
+        _json_only(monkeypatch)
+        assert _outcome(path) == fast
+
+    def test_edge_values(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join([
+            _record_line(0, tr=-0.0),
+            _record_line(1, tr=1.0).replace("1.0", "1e400"),
+            _record_line(2, a="-").replace('"a":"-"', r'"a":"\u002b"'),
+            _record_line(3, tca=-0.1).replace("-0.1", "-0." + "0" * 200 + "1"),
+        ]) + "\n")
+        log = bb.read_run_log(path)
+        assert math.copysign(1.0, log.t_report[0]) == -1.0 and log.t_report[0] == 0.0
+        assert log.t_report[1] == math.inf
+        assert log.a_index[2] == 0
+        assert log.t_choice_a[3] == float("-0." + "0" * 200 + "1")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r", "no final newline"])
+    def test_line_endings(self, tmp_path, ending, monkeypatch):
+        lines = [_record_line(i, alpha=i % 3, b="0") for i in range(5)]
+        path = tmp_path / "runs.jsonl"
+        if ending == "no final newline":
+            path.write_bytes("\n".join(lines).encode())
+        else:
+            path.write_bytes((ending.join(lines) + ending).encode())
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text("\n".join(lines) + "\n")
+        assert runs._writer_form_columns([line + "\n" for line in lines[:-1]] + lines[-1:], True) is not None
+        assert _outcome(path) == _outcome(reference)
+        _json_only(monkeypatch)
+        assert _outcome(path) == _outcome(reference)
+
+    def test_long_line_declined(self):
+        # A line longer than _LINE_MAX is left to the json path, however well formed.
+        assert runs._writer_form_columns([_long_line(runs._LINE_MAX) + "\n"], True) is not None
+        assert runs._writer_form_columns([_long_line(runs._LINE_MAX + 1) + "\n"], True) is None
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_simulated_logs_read_bit_for_bit(self, tmp_path, monkeypatch, ternary):
+        monkeypatch.setattr(runs, "_CHUNK_RECORDS", 64)
+        behavior = bb.uniform_behavior(bb.Scenario(4, 3))
+        if ternary:
+            behavior = bb.apply_fair_sampling(behavior, 0.7, 0.8)
+        log = bb.simulate(behavior, 1000, 3, GEOMETRY)
+        path = tmp_path / "runs.jsonl"
+        for candidate in (log, _awkward_times(log)):
+            bb.write_run_log(candidate, path)
+            fast = _outcome(path)
+            with monkeypatch.context() as patched:
+                _json_only(patched)
+                assert _outcome(path) == fast
+        bb.write_run_log(log, path)
+        back = bb.read_run_log(path)
+        for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
 
 
 class TestTallyFile:
