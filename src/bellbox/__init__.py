@@ -31,7 +31,6 @@ from .model import (
     evaluate_functional,
     nonsignalling_defect,
     relabel_outputs,
-    side_marginal,
     uniform_behavior,
     validate_behavior,
     wigner_chained,
@@ -50,7 +49,6 @@ from .polytope import (
     local_model_to_json_dict,
     local_visibility,
     model_behavior,
-    strategy_behavior,
     strategy_count,
 )
 from .quantum import (
@@ -76,9 +74,7 @@ from .runs import (
     read_run_log,
     simulate,
     tally,
-    tally_from_json_dict,
     tally_run_log,
-    tally_to_json_dict,
     write_run_log,
 )
 

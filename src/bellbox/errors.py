@@ -38,10 +38,6 @@ class DuplicateSetting(BellBoxError):
     """Setting indices that must be distinct coincide."""
 
 
-class BadSignPattern(BellBoxError):
-    """A CHSH sign pattern is not four signs with exactly one negative."""
-
-
 class BadPermutation(BellBoxError):
     """An outcome relabeling is not a permutation of the alphabet."""
 

@@ -23,7 +23,6 @@ from .errors import (
     AlphabetMismatch,
     BadNormalization,
     BadPermutation,
-    BadSignPattern,
     DuplicateSetting,
     NegativeEntry,
     ScenarioMismatch,
@@ -204,18 +203,6 @@ def uniform_behavior(scenario: Scenario) -> Behavior:
     return Behavior(scenario, table)
 
 
-def side_marginal(b: Behavior, side: Side, own_setting: int, other_setting: int) -> np.ndarray:
-    """Outcome distribution of one side at (own_setting, other_setting)."""
-    _check_side(side)
-    if side == "A":
-        _check_setting(own_setting, b.scenario.settings_a, "alpha")
-        _check_setting(other_setting, b.scenario.settings_b, "beta")
-        return b.p[own_setting, other_setting].sum(axis=1)
-    _check_setting(own_setting, b.scenario.settings_b, "beta")
-    _check_setting(other_setting, b.scenario.settings_a, "alpha")
-    return b.p[other_setting, own_setting].sum(axis=0)
-
-
 def nonsignalling_defect(b: Behavior) -> float:
     """How strongly either side's marginal depends on the distant setting.
 
@@ -297,29 +284,19 @@ def wigner_chained(i: int, j: int, k: int, scenario: Scenario | None = None) -> 
     return BellFunctional(scenario, coeffs, 0.0, Direction.AT_LEAST)
 
 
-def chsh_functional(
-    sign_pattern: Sequence[float] = (1, 1, 1, -1),
-    scenario: Scenario | None = None,
-) -> BellFunctional:
+def chsh_functional(scenario: Scenario | None = None) -> BellFunctional:
     """CHSH combination of correlators over settings {0,1} on each side.
 
-    S = sum over (alpha, beta) of sign * E(alpha, beta) with
-    E = p(+,+) + p(-,-) - p(+,-) - p(-,+).  The sign pattern is given in
-    block order (0,0), (0,1), (1,0), (1,1) and must contain exactly one
-    negative sign.  Local bound 2, direction AT_MOST.
+    S = E(0,0) + E(0,1) + E(1,0) - E(1,1) with
+    E = p(+,+) + p(-,-) - p(+,-) - p(-,+).  Local bound 2, direction AT_MOST.
     """
     if scenario is None:
         scenario = Scenario(2, 2)
     _require_binary(scenario, 2)
-    signs = tuple(sign_pattern)
-    if len(signs) != 4 or any(s not in (1, -1, 1.0, -1.0) for s in signs):
-        raise BadSignPattern(f"expected four signs +-1, got {sign_pattern!r}")
-    if sum(1 for s in signs if s < 0) != 1:
-        raise BadSignPattern("exactly one sign in the CHSH pattern must be negative")
     coeffs = np.zeros(scenario.shape)
     correlator = np.array([[1.0, -1.0], [-1.0, 1.0]])  # +1 when outcomes agree
-    for pos, (alpha, beta) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        coeffs[alpha, beta] = signs[pos] * correlator
+    coeffs[:2, :2] = correlator
+    coeffs[1, 1] = -correlator
     return BellFunctional(scenario, coeffs, 2.0, Direction.AT_MOST)
 
 
@@ -339,10 +316,10 @@ def relabel_outputs(b: Behavior, side: Side, perm: Sequence[int]) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# JSON file formats: the checks behavior, tally and local-model files share
+# JSON file formats: the checks behavior and local-model files share
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b"}
+_JSON_TYPE_NAMES = {int: "integer", list: "array"}
 
 
 def _check_fields(data, keys: set[str], what: str, ignore: Sequence[str] = ()) -> None:
@@ -357,35 +334,40 @@ def _check_fields(data, keys: set[str], what: str, ignore: Sequence[str] = ()) -
         raise SchemaError(f"missing fields in {what} document: {sorted(missing)}")
 
 
-def _scenario_to_json(scenario: Scenario) -> dict:
-    return {
-        "settings_a": scenario.settings_a,
-        "settings_b": scenario.settings_b,
-        "outcomes_a": list(scenario.outcomes_a.symbols),
-        "outcomes_b": list(scenario.outcomes_b.symbols),
-    }
+def _json_value(value, kind: type, what: str):
+    """``value`` if ``json`` reads it as ``kind`` (bool, though an int, is no integer)."""
+    if type(value) is not kind:
+        raise SchemaError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def _scenario_from_json(data: dict, what: str, **arrays) -> tuple:
-    """The scenario of a checked ``what`` document, then each ``key=dtype`` field as an array."""
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A JSON number, or arrays of them nested to any depth, as float64.
+
+    A string, bool, null or uneven nesting anywhere in ``value`` is a
+    SchemaError, never a coerced value.
+    """
+    array = np.asarray(value, dtype=object)
+    if not {int, float}.issuperset(map(type, array.ravel().tolist())):
+        raise SchemaError(f"{what} must hold JSON numbers only")
     try:
-        scenario = Scenario(
-            int(data["settings_a"]),
-            int(data["settings_b"]),
-            Alphabet.from_symbols(data["outcomes_a"]),
-            Alphabet.from_symbols(data["outcomes_b"]),
-        )
-        return (scenario, *(np.asarray(data[key], dtype=dtype) for key, dtype in arrays.items()))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed {what} document: {exc}") from exc
+        return array.astype(float)
+    except OverflowError as exc:  # an integer beyond float64
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
-_BEHAVIOR_KEYS = _SCENARIO_KEYS | {"p"}
+_BEHAVIOR_KEYS = {"settings_a", "settings_b", "outcomes_a", "outcomes_b", "p"}
 
 
 def behavior_to_json_dict(b: Behavior) -> dict:
     """Serialize in the documented behavior file schema."""
-    return {**_scenario_to_json(b.scenario), "p": b.p.tolist()}
+    return {
+        "settings_a": b.scenario.settings_a,
+        "settings_b": b.scenario.settings_b,
+        "outcomes_a": list(b.scenario.outcomes_a.symbols),
+        "outcomes_b": list(b.scenario.outcomes_b.symbols),
+        "p": b.p.tolist(),
+    }
 
 
 def behavior_from_json_dict(data: dict, ignore: Sequence[str] = ()) -> Behavior:
@@ -393,8 +375,11 @@ def behavior_from_json_dict(data: dict, ignore: Sequence[str] = ()) -> Behavior:
 
     ``ignore`` names companion keys that may ride along in derived files
     (the estimate file adds "stderr" and "totals"); anything else unknown
-    raises SchemaError.
+    raises SchemaError.  Setting counts must be JSON integers, alphabets
+    JSON arrays, and ``p`` JSON numbers.
     """
     _check_fields(data, _BEHAVIOR_KEYS, "behavior", ignore)
-    scenario, table = _scenario_from_json(data, "behavior", p=float)
-    return Behavior(scenario, table)
+    settings = [_json_value(data[key], int, f"behavior {key}") for key in ("settings_a", "settings_b")]
+    alphabets = [_json_value(data[key], list, f"behavior {key}") for key in ("outcomes_a", "outcomes_b")]
+    scenario = Scenario(*settings, *map(Alphabet.from_symbols, alphabets))
+    return Behavior(scenario, _json_numbers(data["p"], "behavior p"))

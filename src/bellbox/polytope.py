@@ -39,6 +39,8 @@ from .model import (
     Direction,
     Scenario,
     _check_fields,
+    _json_numbers,
+    _json_value,
     nonsignalling_defect,
     uniform_behavior,
 )
@@ -139,11 +141,6 @@ def _check_strategy(strategy: LocalStrategy, scenario: Scenario) -> None:
         raise AlphabetMismatch("strategy does not cover every setting of the scenario")
     if any(not 0 <= o < ka for o in strategy.f_a) or any(not 0 <= o < kb for o in strategy.f_b):
         raise AlphabetMismatch("strategy outcome outside the scenario's alphabets")
-
-
-def strategy_behavior(strategy: LocalStrategy, scenario: Scenario) -> Behavior:
-    """The deterministic product behavior of one strategy."""
-    return model_behavior(LocalModel((strategy,), np.ones(1)), scenario)
 
 
 def model_behavior(model: LocalModel, scenario: Scenario) -> Behavior:
@@ -346,17 +343,12 @@ def local_model_from_json_dict(data: dict, scenario: Scenario) -> LocalModel:
     """Parse the LocalModel file schema; weights are validated on load."""
     _check_fields(data, _MODEL_KEYS, "local model")
     strategies = []
-    for entry in data["strategies"]:
-        if not isinstance(entry, dict) or set(entry) != {"fa", "fb"}:
-            raise SchemaError(f"malformed strategy entry {entry!r}")
+    for entry in _json_value(data["strategies"], list, "local model strategies"):
+        _check_fields(entry, {"fa", "fb"}, "local model strategy")
         strategy = LocalStrategy(
-            tuple(scenario.outcomes_a.index(s) for s in entry["fa"]),
-            tuple(scenario.outcomes_b.index(s) for s in entry["fb"]),
+            tuple(map(scenario.outcomes_a.index, _json_value(entry["fa"], list, "local model fa"))),
+            tuple(map(scenario.outcomes_b.index, _json_value(entry["fb"], list, "local model fb"))),
         )
         _check_strategy(strategy, scenario)
         strategies.append(strategy)
-    try:
-        weights = np.asarray(data["weights"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed weights: {exc}") from exc
-    return LocalModel(tuple(strategies), weights)
+    return LocalModel(tuple(strategies), _json_numbers(data["weights"], "local model weights"))

@@ -41,32 +41,21 @@ from .errors import (
     SchemaError,
     SizeLimit,
 )
-from .model import (
-    _SCENARIO_KEYS,
-    Alphabet,
-    Behavior,
-    BellFunctional,
-    Scenario,
-    _check_fields,
-    _scenario_from_json,
-    _scenario_to_json,
-    evaluate_functional,
-)
+from .model import Alphabet, Behavior, BellFunctional, Scenario, evaluate_functional
 
 SPEED_OF_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """Spacetime configuration of one run: station separation and duration."""
+    """Spacetime configuration of one run: station separation (m) and duration (s)."""
 
     L: float
     T: float
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.T > 0.0 and self.c > 0.0):
-            raise ValueError(f"L, T, c must be positive, got {self.L}, {self.T}, {self.c}")
+        if not (0.0 < self.L < math.inf and 0.0 < self.T < math.inf):
+            raise ValueError(f"L and T must be finite and positive, got {self.L}, {self.T}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +66,7 @@ class LocalityAudit:
 
 def locality_audit(g: Geometry) -> LocalityAudit:
     """Check the strict spacelike-separation condition L > T*c."""
-    margin = g.L - g.T * g.c
+    margin = g.L - g.T * SPEED_OF_LIGHT
     return LocalityAudit(margin > 0.0, margin)
 
 
@@ -229,7 +218,7 @@ def randomness_audit(t: Tally) -> RandomnessAudit:
 
 
 # ---------------------------------------------------------------------------
-# Run log (JSON Lines) and tally file formats
+# Run log (JSON Lines) file format
 # ---------------------------------------------------------------------------
 
 _RECORD_KEYS = ("i", "alpha", "beta", "a", "b", "tca", "tcb", "tr")
@@ -394,12 +383,7 @@ def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
     if not exact:
         bad = next(k for k, row in enumerate(rows) if not isinstance(row, dict) or row.keys() != set(_RECORD_KEYS))
         raise _RecordFault(f"record fields must be {sorted(_RECORD_KEYS)}", bad)
-    n = len(rows)
-    try:
-        index, alpha, beta = (np.fromiter(fields[k], np.int64, n) for k in range(3))
-        tca, tcb, tr = (np.fromiter(fields[k], np.float64, n) for k in range(5, 8))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise _RecordFault(f"malformed record value: {exc}") from exc
+    index, alpha, beta, tca, tcb, tr = (_number_column(fields[k], _RECORD_KEYS[k]) for k in (0, 1, 2, 5, 6, 7))
     a_code, b_code = _symbol_codes(fields[3]), _symbol_codes(fields[4])
     for bad, what in (
         ((alpha < 0) | (beta < 0), "negative setting index"),
@@ -418,16 +402,29 @@ def _parse_line(line: str, k: int):
         raise _RecordFault(f"not valid JSON: {exc}", k) from exc
 
 
+def _number_column(values: list, key: str) -> np.ndarray:
+    """A numeric record field: int64 for the index and settings, whose values must
+    be what ``json`` reads a JSON integer as (an int, never a bool), and float64
+    for the times, whose values may also be floats."""
+    integer = key in ("i", "alpha", "beta")
+    types = {int} if integer else {int, float}
+    if not types.issuperset(map(type, values)):
+        bad = next(k for k, value in enumerate(values) if type(value) not in types)
+        kind = "integer" if integer else "number"
+        raise _RecordFault(f"malformed record value: {key} {values[bad]!r} is not a JSON {kind}", bad)
+    try:
+        return np.fromiter(values, np.int64 if integer else np.float64, len(values))
+    except OverflowError as exc:  # an integer beyond int64, or beyond float64 for a time
+        raise _RecordFault(f"malformed record value: {exc}") from exc
+
+
 def _symbol_codes(values: list) -> np.ndarray:
     try:
         return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
-    except (KeyError, TypeError):
-        # A value whose str() is a symbol (say the number 0) reads as that symbol.
-        values = list(map(str, values))
-        unknown = set(values) - set(_SYMBOL_CODES)
-        if unknown:
-            raise _RecordFault(f"unknown outcome symbols {sorted(unknown)}") from None
-        return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
+    except (KeyError, TypeError):  # only the table's strings are symbols: the number 0 is none
+        bad = next(k for k, value in enumerate(values) if type(value) is not str or value not in _SYMBOL_CODES)
+        message = f"unknown outcome symbols: {values[bad]!r} is none of {list(_SYMBOL_CODES)}"
+        raise _RecordFault(message, bad) from None
 
 
 # The writer's own record form, read without building a dict per record.  One
@@ -599,19 +596,3 @@ def _slot_floats(padded: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.
     cells = np.where(offsets < length[:, None], padded[first[:, None] + offsets], 0).astype(np.uint8)
     with np.errstate(all="ignore"):  # the cast may flag the overflow to inf that float() also gives
         return cells.view(f"S{offsets.size}").ravel().astype(np.float64)
-
-
-_TALLY_KEYS = _SCENARIO_KEYS | {"n", "totals"}
-
-
-def tally_to_json_dict(t: Tally) -> dict:
-    return {**_scenario_to_json(t.scenario), "n": t.counts.tolist(), "totals": t.totals.tolist()}
-
-
-def tally_from_json_dict(data: dict) -> Tally:
-    _check_fields(data, _TALLY_KEYS, "tally")
-    scenario, counts, totals = _scenario_from_json(data, "tally", n=np.int64, totals=np.int64)
-    result = Tally(scenario, counts)
-    if totals.shape != result.totals.shape or not np.array_equal(totals, result.totals):
-        raise SchemaError("tally totals do not equal the block sums")
-    return result

@@ -49,13 +49,18 @@ def random_local_model(
     return bb.LocalModel(tuple(strategies[i] for i in picks), weights)
 
 
+def strategy_behavior(strategy: bb.LocalStrategy, scenario: bb.Scenario) -> bb.Behavior:
+    """The deterministic product behavior of one strategy, as a one-strategy model."""
+    return bb.model_behavior(bb.LocalModel((strategy,), np.ones(1)), scenario)
+
+
 @functools.lru_cache(maxsize=None)
 def vertex_data(scenario: bb.Scenario) -> tuple[list[bb.LocalStrategy], np.ndarray]:
     """Oracle: every strategy, and the vertex matrix whose row i is strategy i's
-    flattened behavior table, stacked from ``strategy_behavior`` and so
+    flattened behavior table, stacked from ``model_behavior`` and so
     independent of the side factors that the package's LP rows come from.
     Read-only; callers must not write to it."""
     strategies = bb.enumerate_strategies(scenario)
-    matrix = np.array([bb.strategy_behavior(s, scenario).p.ravel() for s in strategies])
+    matrix = np.array([strategy_behavior(s, scenario).p.ravel() for s in strategies])
     matrix.flags.writeable = False
     return strategies, matrix

@@ -338,6 +338,29 @@ class TestFlagHandling:
         code, _, _ = run_cli(capsys, "transmogrify")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quantum", "--state", "singlet", "--angles-a", "x,90", "--angles-b", "0,45", "--out", "{out}"],
+             "error: --angles-a must be comma-separated numbers, got 'x,90'"),
+            (["inequality", "--behavior", "{behavior}", "--form", "literal", "--indices", "1,2"],
+             "error: --form literal takes a single index k"),
+            (["simulate", "--behavior", "{behavior}", "--runs", "10", "--seed", "1", "--geometry", "400,inf",
+              "--out", "{out}"], "error: L and T must be finite and positive, got 400.0, inf"),
+            (["audit", "--runs", "{runs}", "--geometry", "inf,1e-6"],
+             "error: L and T must be finite and positive, got inf, 1e-06"),
+        ],
+        ids=["angles", "literal-indices", "simulate-infinite-T", "audit-infinite-L"],
+    )
+    def test_bad_values_exit_2(self, capsys, tmp_path, uniform_file, argv, message):
+        runs_path = tmp_path / "runs.jsonl"
+        bb.write_run_log(bb.simulate(bb.uniform_behavior(bb.Scenario()), 10, 1, bb.Geometry(400.0, 1e-6)), runs_path)
+        out = tmp_path / "out.json"
+        paths = {"behavior": uniform_file, "runs": str(runs_path), "out": str(out)}
+        code, stdout, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, stdout, err) == (2, "", message + "\n")
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = run_cli(capsys, "--help")
         assert code == 0

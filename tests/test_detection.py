@@ -276,6 +276,8 @@ class TestWeakThreshold:
             bb.critical_efficiency(bb.uniform_behavior(S2.with_no_click()), mode="weak")
         with pytest.raises(SignallingTarget):
             bb.critical_efficiency(random_behavior(np.random.default_rng(44), S2), mode="weak")
+        with pytest.raises(ValueError, match="unknown constraint mode 'bogus'"):
+            bb.critical_efficiency(bb.uniform_behavior(S2), mode="bogus")
 
 
 def click_rows(strategies, sa: int, sb: int) -> np.ndarray:

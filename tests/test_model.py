@@ -5,9 +5,9 @@ import pytest
 
 import bellbox as bb
 from bellbox.errors import (
+    AlphabetMismatch,
     BadNormalization,
     BadPermutation,
-    BadSignPattern,
     DuplicateSetting,
     NegativeEntry,
     ScenarioMismatch,
@@ -52,6 +52,10 @@ class TestScenario:
     def test_too_few_settings(self, build):
         with pytest.raises(ScenarioTooSmall, match="need at least"):
             build()
+
+    def test_alphabets_must_be_members(self):
+        with pytest.raises(AlphabetMismatch, match="must be Alphabet members"):
+            bb.Scenario(2, 2, "+-")
 
     def test_with_no_click(self):
         extended = S3.with_no_click()
@@ -108,30 +112,6 @@ class TestValidateBehavior:
         b = bb.uniform_behavior(S3)
         with pytest.raises(ValueError):
             b.p[0, 0, 0, 0] = 1.0
-
-
-class TestSideMarginal:
-    def test_uniform(self):
-        b = bb.uniform_behavior(S3)
-        np.testing.assert_allclose(bb.side_marginal(b, "A", 0, 2), [0.5, 0.5])
-
-    def test_deterministic_all_plus(self):
-        b = bb.validate_behavior(S3, deterministic_table((0, 0, 0), (1, 1, 1)))
-        np.testing.assert_allclose(bb.side_marginal(b, "A", 1, 1), [1.0, 0.0])
-        np.testing.assert_allclose(bb.side_marginal(b, "B", 1, 1), [0.0, 1.0])
-
-    def test_singlet_marginals_maximally_mixed(self):
-        # Oracle-verified in test_quantum: singlet marginals are (1/2, 1/2).
-        plan = bb.MeasurementPlan((0.3, 1.1, 2.5), (0.0, 0.7, 1.9))
-        b = bb.behavior_from_state(bb.SINGLET, plan)
-        for side, own, other in (("A", 0, 1), ("A", 2, 0), ("B", 1, 2)):
-            np.testing.assert_allclose(
-                bb.side_marginal(b, side, own, other), [0.5, 0.5], atol=1e-12
-            )
-
-    def test_setting_out_of_range(self):
-        with pytest.raises(SettingOutOfRange):
-            bb.side_marginal(bb.uniform_behavior(S3), "A", 3, 0)
 
 
 class TestNonsignallingDefect:
@@ -272,15 +252,7 @@ class TestChsh:
         # All correlators are +1, so S = 1 + 1 + 1 - 1 = 2.
         table = deterministic_table((0, 0), (0, 0), S2)
         b = bb.validate_behavior(S2, table)
-        assert bb.evaluate_functional(bb.chsh_functional((1, 1, 1, -1)), b) == 2.0
-
-    def test_all_positive_pattern_rejected(self):
-        with pytest.raises(BadSignPattern):
-            bb.chsh_functional((1, 1, 1, 1))
-
-    def test_two_negatives_rejected(self):
-        with pytest.raises(BadSignPattern):
-            bb.chsh_functional((1, -1, 1, -1))
+        assert bb.evaluate_functional(bb.chsh_functional(), b) == 2.0
 
     def test_embeds_into_larger_scenarios(self):
         f = bb.chsh_functional(scenario=S3)
@@ -321,9 +293,18 @@ class TestRelabelOutputs:
             bb.nonsignalling_defect(b), abs=1e-15
         )
 
+    def test_bad_side(self):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            bb.relabel_outputs(bb.uniform_behavior(S3), "C", (0, 1))
+
     def test_bad_permutation(self):
         with pytest.raises(BadPermutation):
             bb.relabel_outputs(bb.uniform_behavior(S3), "A", (0, 0))
+
+
+def _uniform_doc(**fields) -> dict:
+    """The uniform 2x2 behavior's document with ``fields`` replaced."""
+    return {**bb.behavior_to_json_dict(bb.uniform_behavior(S2)), **fields}
 
 
 class TestBehaviorJson:
@@ -356,3 +337,26 @@ class TestBehaviorJson:
         data["stderr"] = data["p"]
         back = bb.behavior_from_json_dict(data, ignore=("stderr", "totals"))
         np.testing.assert_array_equal(back.p, bb.uniform_behavior(S3).p)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (_uniform_doc(settings_a=2.7), "behavior settings_a must be a JSON integer, got 2.7"),
+            (_uniform_doc(settings_a="2"), "behavior settings_a must be a JSON integer, got '2'"),
+            (_uniform_doc(settings_b=True), "behavior settings_b must be a JSON integer, got True"),
+            (_uniform_doc(outcomes_a=5), "behavior outcomes_a must be a JSON array, got 5"),
+            (_uniform_doc(outcomes_b="+-"), "behavior outcomes_b must be a JSON array, got '\\+-'"),
+            (_uniform_doc(p=[[[["0.25", 0.25], [0.25, 0.25]]] * 2] * 2), "behavior p must hold JSON numbers only"),
+            (_uniform_doc(p=[[[[True, 0], [0, 0]]] * 2] * 2), "behavior p must hold JSON numbers only"),
+            (_uniform_doc(p=[[[[0.5, 0.5], [0, 0]]] * 2, [[[1.0, 0], [0]]] * 2]),
+             "behavior p must hold JSON numbers only"),
+            (_uniform_doc(p=[[[[10**400, 0], [0, 0]]] * 2] * 2), "behavior p: int too large"),
+            ([1, 2], "behavior document must be a JSON object"),
+        ],
+        ids=["float-settings", "string-settings", "bool-settings", "number-alphabet", "string-alphabet",
+             "string-entry", "bool-entry", "ragged-p", "huge-entry", "not-an-object"],
+    )
+    def test_json_types_enforced(self, document, message):
+        # Values are what json reads from a file: none is coerced to the type the schema wants.
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            bb.behavior_from_json_dict(document)

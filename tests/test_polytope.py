@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
 from bellbox.polytope import _locality_lp, _side_factors, _table_price
-from conftest import random_behavior, random_local_model, vertex_data
+from conftest import random_behavior, random_local_model, strategy_behavior, vertex_data
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -57,33 +57,34 @@ class TestEnumeration:
 
 class TestStrategyBehavior:
     def test_constant_strategy(self):
-        b = bb.strategy_behavior(bb.LocalStrategy((0, 0, 0), (1, 1, 1)), S3)
+        b = strategy_behavior(bb.LocalStrategy((0, 0, 0), (1, 1, 1)), S3)
         assert np.all(b.p[:, :, 0, 1] == 1.0)
         assert b.p.sum() == 9.0
 
     def test_every_strategy_is_nonsignalling(self):
         for strategy in bb.enumerate_strategies(S2):
-            assert bb.nonsignalling_defect(bb.strategy_behavior(strategy, S2)) == 0.0
+            assert bb.nonsignalling_defect(strategy_behavior(strategy, S2)) == 0.0
 
     def test_one_entry_per_block(self):
-        b = bb.strategy_behavior(bb.LocalStrategy((0, 1), (1, 0)), S2)
+        b = strategy_behavior(bb.LocalStrategy((0, 1), (1, 0)), S2)
         assert np.all(b.p.sum(axis=(2, 3)) == 1.0)
         assert np.all((b.p == 0.0) | (b.p == 1.0))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            bb.strategy_behavior(bb.LocalStrategy((0, 2, 0), (0, 0, 0)), S3)
+            strategy_behavior(bb.LocalStrategy((0, 2, 0), (0, 0, 0)), S3)
         with pytest.raises(AlphabetMismatch):
-            bb.strategy_behavior(bb.LocalStrategy((0, 0), (0, 0)), S3)
+            strategy_behavior(bb.LocalStrategy((0, 0), (0, 0)), S3)
 
 
 class TestModelBehavior:
     def test_single_strategy(self):
         strategy = bb.LocalStrategy((0, 1, 0), (1, 1, 0))
         model = bb.LocalModel((strategy,), np.array([1.0]))
-        np.testing.assert_array_equal(
-            bb.model_behavior(model, S3).p, bb.strategy_behavior(strategy, S3).p
-        )
+        expected = np.zeros(S3.shape)
+        for alpha, beta in itertools.product(range(3), repeat=2):
+            expected[alpha, beta, strategy.f_a[alpha], strategy.f_b[beta]] = 1.0
+        np.testing.assert_array_equal(bb.model_behavior(model, S3).p, expected)
 
     def test_uniform_mixture_gives_uniform_behavior(self):
         strategies = bb.enumerate_strategies(S3)
@@ -111,6 +112,8 @@ class TestModelBehavior:
             bb.LocalModel((strategy,), np.array([0.9]))
         with pytest.raises(SchemaError):
             bb.LocalModel((strategy, strategy), np.array([1.5, -0.5]))
+        with pytest.raises(SchemaError, match="^2 weights for 1 strategies$"):
+            bb.LocalModel((strategy,), np.array([0.5, 0.5]))
 
     def test_weight_messages_print_plain_numbers(self):
         strategy = bb.LocalStrategy((0, 0, 0), (0, 0, 0))
@@ -125,7 +128,7 @@ class TestVertexBounds:
         bounds = bb.functional_vertex_bounds(bb.wigner_literal(0))
         assert bounds.min == -1.0
         # The reported argmin really achieves the minimum.
-        b = bb.strategy_behavior(bounds.argmin, S3)
+        b = strategy_behavior(bounds.argmin, S3)
         assert bb.evaluate_functional(bb.wigner_literal(0), b) == -1.0
 
     def test_chsh_max(self):
@@ -144,7 +147,7 @@ class TestVertexBounds:
         coeffs = rng.normal(size=S3.shape)
         f = bb.BellFunctional(S3, coeffs, 0.0, bb.Direction.AT_LEAST)
         values = [
-            bb.evaluate_functional(f, bb.strategy_behavior(s, S3))
+            bb.evaluate_functional(f, strategy_behavior(s, S3))
             for s in bb.enumerate_strategies(S3)
         ]
         bounds = bb.functional_vertex_bounds(f)
@@ -415,3 +418,24 @@ class TestLocalModelJson:
         assert data["strategies"][0]["fa"] == ["+", "-", "0"]
         back = bb.local_model_from_json_dict(data, S3T)
         assert back.strategies[0] == model.strategies[0]
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"weights": ["1"]}, SchemaError, "local model weights must hold JSON numbers only"),
+            ({"weights": [True]}, SchemaError, "local model weights must hold JSON numbers only"),
+            ({"weights": "x"}, SchemaError, "local model weights must hold JSON numbers only"),
+            ({"strategies": [["+"] * 3]}, SchemaError, "local model strategy document must be a JSON object"),
+            ({"strategies": {"fa": ["+"] * 3}}, SchemaError, "local model strategies must be a JSON array"),
+            ({"strategies": [{"fa": "+++", "fb": ["+"] * 3}]}, SchemaError, "local model fa must be a JSON array"),
+            ({"strategies": [{"fa": ["+", "x", "+"], "fb": ["+"] * 3}]}, AlphabetMismatch, "symbol 'x' not in"),
+            ({"strategies": [{"fa": ["+", 0, "+"], "fb": ["+"] * 3}]}, AlphabetMismatch, "symbol 0 not in"),
+        ],
+        ids=["string-weight", "bool-weight", "string-weights", "list-entry", "object-strategies",
+             "string-fa", "unknown-symbol", "number-symbol"],
+    )
+    def test_json_types_enforced(self, fields, error, message):
+        data = {"strategies": [{"fa": ["+"] * 3, "fb": ["+"] * 3}], "weights": [1.0]}
+        data.update(fields)
+        with pytest.raises(error, match=f"^{message}"):
+            bb.local_model_from_json_dict(data, S3)

@@ -148,12 +148,9 @@ class TestSingletSymmetries:
         behavior = bb.behavior_from_state(bb.SINGLET, plan)
         for alpha in range(3):
             for beta in range(3):
-                np.testing.assert_allclose(
-                    bb.side_marginal(behavior, "A", alpha, beta), [0.5, 0.5], atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    bb.side_marginal(behavior, "B", beta, alpha), [0.5, 0.5], atol=1e-12
-                )
+                block = behavior.p[alpha, beta]
+                np.testing.assert_allclose(block.sum(axis=1), [0.5, 0.5], atol=1e-12)
+                np.testing.assert_allclose(block.sum(axis=0), [0.5, 0.5], atol=1e-12)
 
 
 class TestPhiPlus:

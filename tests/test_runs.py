@@ -7,7 +7,7 @@ import scipy.stats
 
 import bellbox as bb
 from bellbox import runs
-from bellbox.errors import BellBoxError, EmptySettingPair, MixedScenario, SchemaError, SizeLimit
+from bellbox.errors import BellBoxError, EmptySettingPair, MixedScenario, ScenarioMismatch, SchemaError, SizeLimit
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -21,8 +21,10 @@ class TestGeometry:
         with pytest.raises(ValueError):
             bb.Geometry(400.0, -1.0)
 
-    def test_speed_of_light_default(self):
-        assert bb.Geometry(1.0, 1.0).c == 299792458.0
+    @pytest.mark.parametrize("values", [(math.inf, 1e-6), (400.0, math.inf), (math.nan, 1e-6), (400.0, math.nan)])
+    def test_finite_required(self, values):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            bb.Geometry(*values)
 
 
 class TestLocalityAudit:
@@ -111,6 +113,11 @@ class TestTally:
         with pytest.raises(MixedScenario):
             bb.Tally(S2, counts)
 
+    @pytest.mark.parametrize("counts", [np.full(S2.shape, -1), np.full(S2.shape, 1.0)], ids=["negative", "float"])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(MixedScenario, match="counts must be nonnegative integers"):
+            bb.Tally(S2, counts)
+
     def test_record_outside_scenario_rejected(self):
         with pytest.raises(MixedScenario):
             bb.tally(one_run_log(S2, 2, 0, 0, 1))
@@ -172,6 +179,11 @@ class TestFunctionalInterval:
         assert sigma > 0.0
         assert abs(value - 0.25) <= 5.0 * sigma
 
+    def test_scenario_mismatch(self):
+        t = bb.tally(bb.simulate(bb.uniform_behavior(S2), 100, 1, GEOMETRY))
+        with pytest.raises(ScenarioMismatch):
+            bb.functional_interval(t, bb.wigner_literal(0))
+
     def test_deterministic_tally_zero_sigma(self):
         counts = np.zeros(S3.shape, dtype=np.int64)
         counts[:, :, 0, 1] = 50
@@ -197,6 +209,10 @@ class TestRandomnessAudit:
         assert audit.chi_square_uniformity == pytest.approx(800.0, abs=1e-9)
         # The histogram equals the product of its own margins here.
         assert audit.chi_square_independence == pytest.approx(0.0, abs=1e-9)
+
+    def test_empty_tally_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            bb.randomness_audit(bb.Tally(S3, np.zeros(S3.shape, dtype=np.int64)))
 
     def test_product_histogram_independent(self):
         row = np.array([10, 30, 60])
@@ -423,6 +439,12 @@ class TestRunLogStreaming:
             (_record_line(1, tr=[1e-6]), "malformed record value"),
             (_record_line(1, alpha=-1), r":2: negative setting index"),
             (_record_line(1, b=["-"]), "unknown outcome symbols"),
+            (_record_line(1, alpha=1.5), r":2: malformed record value: alpha 1\.5 is not a JSON integer"),
+            (_record_line(1, alpha="0"), r":2: malformed record value: alpha '0' is not a JSON integer"),
+            (_record_line(1, beta=True), r":2: malformed record value: beta True is not a JSON integer"),
+            (_record_line(1, tca="-1e-7"), r":2: malformed record value: tca '-1e-7' is not a JSON number"),
+            (_record_line(1, tr=False), r":2: malformed record value: tr False is not a JSON number"),
+            (_record_line(1, a=0), r":2: unknown outcome symbols: 0 is none of"),
         ],
     )
     def test_malformed_records_rejected(self, tmp_path, line, message):
@@ -595,25 +617,3 @@ class TestWriterForm:
         back = bb.read_run_log(path)
         for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
             np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
-
-
-class TestTallyFile:
-    def test_round_trip(self):
-        t = bb.tally(bb.simulate(bb.uniform_behavior(S3), 777, 9, GEOMETRY))
-        back = bb.tally_from_json_dict(bb.tally_to_json_dict(t))
-        assert back.scenario == t.scenario
-        np.testing.assert_array_equal(back.counts, t.counts)
-
-    def test_totals_validated(self):
-        t = bb.tally(bb.simulate(bb.uniform_behavior(S3), 100, 9, GEOMETRY))
-        data = bb.tally_to_json_dict(t)
-        data["totals"][0][0] += 1
-        with pytest.raises(SchemaError):
-            bb.tally_from_json_dict(data)
-
-    def test_unknown_field_rejected(self):
-        t = bb.tally(bb.simulate(bb.uniform_behavior(S3), 10, 9, GEOMETRY))
-        data = bb.tally_to_json_dict(t)
-        data["p"] = data["n"]
-        with pytest.raises(SchemaError):
-            bb.tally_from_json_dict(data)
