@@ -49,15 +49,7 @@ from .errors import (
     ZeroCoincidence,
 )
 from .model import Behavior, Scenario, nonsignalling_defect
-from .polytope import (
-    DEFAULT_TOL,
-    LocalModel,
-    LocalStrategy,
-    _priced_rows,
-    _side_factors,
-    _solution_model,
-    _table_price,
-)
+from .polytope import DEFAULT_TOL, LocalModel, _priced_rows, _solution_model, _table_price
 
 ConstraintMode = Literal["strict", "weak"]
 
@@ -132,40 +124,31 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _loophole_block(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
-    """Three-outcome strategies for a binary scenario and the loophole LP rows
-    on them: one per click-click cell (alpha, beta, a, b), then the click
-    rows C_a (1 where f_a(alpha) != 2) and C_b.  Each row comes twice: as
-    the flattened table whose values on the strategies are the row (for
-    ``_table_price``), and as those values (``_priced_rows``).  The
-    never-click strategy is the last one."""
-    extended = scenario.with_no_click()
-    strategies = _side_factors(extended)[0]
+def _loophole_lp(scenario: Scenario, mode: ConstraintMode):
+    """LP(u)'s rows for a binary scenario, on the three-outcome strategies of
+    its no-click extension (never-click is the last), and their price: one
+    row per click-click cell (alpha, beta, a, b), then in strict mode the
+    click rows C_a (1 where f_a(alpha) != 2) and C_b, each stated as the
+    table whose values on the strategies are the row."""
     sa, sb = scenario.settings_a, scenario.settings_b
     cells = np.eye(sa * sb * 9).reshape(sa, sb, 3, 3, -1)
-    clicks_a = np.zeros((sa, sa, sb, 3, 3))
-    clicks_a[range(sa), range(sa), 0, :2, :] = 1.0  # A clicks at alpha, read at beta = 0
-    clicks_b = np.zeros((sb, sa, sb, 3, 3))
-    clicks_b[range(sb), 0, range(sb), :, :2] = 1.0
-    tables = np.vstack([
-        cells[:, :, :2, :2].reshape(-1, cells.shape[-1]),
-        clicks_a.reshape(sa, -1),
-        clicks_b.reshape(sb, -1),
-    ])
-    tables.flags.writeable = False
-    return strategies, tables, _priced_rows(_table_price(extended, tables), len(tables))
+    tables = [cells[:, :, :2, :2].reshape(-1, cells.shape[-1])]
+    if mode == "strict":
+        clicks_a = np.zeros((sa, sa, sb, 3, 3))
+        clicks_a[range(sa), range(sa), 0, :2, :] = 1.0  # A clicks at alpha, read at beta = 0
+        clicks_b = np.zeros((sb, sa, sb, 3, 3))
+        clicks_b[range(sb), 0, range(sb), :, :2] = 1.0
+        tables += [clicks_a.reshape(sa, -1), clicks_b.reshape(sb, -1)]
+    tables = np.vstack(tables)
+    price = _table_price(scenario.with_no_click(), tables)
+    return _priced_rows(price, len(tables)), price
 
 
 def _threshold_lp(target: Behavior, u: float, mode: ConstraintMode) -> lp.SimplexResult:
-    """LP(u) of the module docstring on the cached loophole rows; weak mode
-    keeps only the click-click rows."""
-    _, tables, rows = _loophole_block(target.scenario)
-    k = len(rows) if mode == "strict" else target.p.size
-    rhs = np.concatenate([u * target.p.ravel(), np.ones(k - target.p.size)])
-    return lp.solve_standard_form(
-        rows[:k], rhs, np.ones(rows.shape[1]), feas_tol=DEFAULT_TOL,
-        price=_table_price(target.scenario.with_no_click(), tables[:k]),
-    )
+    """LP(u) of the module docstring on the cached loophole rows."""
+    rows, price = _loophole_lp(target.scenario, mode)
+    rhs = np.concatenate([u * target.p.ravel(), np.ones(len(rows) - target.p.size)])
+    return lp.solve_standard_form(rows, rhs, np.ones(rows.shape[1]), feas_tol=DEFAULT_TOL, price=price)
 
 
 def _feasible(result: lp.SimplexResult, u: float) -> bool:
@@ -177,7 +160,7 @@ def _padded_model(result: lp.SimplexResult, u: float, scenario: Scenario) -> Loc
     never-click strategy (the last one)."""
     weights = u * result.x
     weights[-1] += max(1.0 - weights.sum(), 0.0)
-    return _solution_model(weights, _loophole_block(scenario)[0])
+    return _solution_model(weights, scenario.with_no_click())
 
 
 def _check_target(target: Behavior, mode: ConstraintMode) -> None:
@@ -227,7 +210,7 @@ def _weak_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
     result = _threshold_lp(target, 1.0, "weak")
     if result.status != lp.OPTIMAL:  # pragma: no cover - one-cell strategies reach any p
         raise ArithmeticError(f"weak threshold LP ended {result.status}")
-    model = _solution_model(result.x, _loophole_block(target.scenario)[0])
+    model = _solution_model(result.x, target.scenario.with_no_click())
     if _feasible(result, 1.0):
         return ThresholdResult(1.0, "weak", model, ((0.0, True), (1.0, True)))
     eta = math.sqrt(1.0 / result.objective)

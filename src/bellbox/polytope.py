@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +125,7 @@ def enumerate_strategies(scenario: Scenario) -> list[LocalStrategy]:
 
     Raises SizeLimit when there are more than ``STRATEGY_CAP`` of them.
     """
-    count = strategy_count(scenario)
-    if count > STRATEGY_CAP:
-        raise SizeLimit(f"{count} strategies exceed the cap of {STRATEGY_CAP}")
-    ka, kb = scenario.outcomes_a.size, scenario.outcomes_b.size
-    return [
-        LocalStrategy(fa, fb)
-        for fa in itertools.product(range(ka), repeat=scenario.settings_a)
-        for fb in itertools.product(range(kb), repeat=scenario.settings_b)
-    ]
+    return list(_strategies(scenario, range(strategy_count(scenario))))
 
 
 def _check_strategy(strategy: LocalStrategy, scenario: Scenario) -> None:
@@ -157,16 +150,18 @@ def model_behavior(model: LocalModel, scenario: Scenario) -> Behavior:
 
 
 @functools.lru_cache(maxsize=32)
-def _side_factors(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.ndarray, np.ndarray]:
-    """All strategies plus one one-hot factor per side, S_a and S_b.
+def _side_factors(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """One one-hot factor per side, S_a and S_b, which fix the strategy order.
 
     Row i of S_a is [f_a(alpha) == a] over (alpha, a) for the i-th f_a in
     lexicographic order, likewise S_b, so the table of strategy
     i * kb^sb + j is the outer product of row i of S_a and row j of S_b.
-    Every LP builds on this, so its enumeration checks the strategy cap for
-    all.
+    Every LP and every decoded strategy builds on this, so it checks the
+    strategy cap for all, before it allocates anything.
     """
-    strategies = enumerate_strategies(scenario)
+    count = strategy_count(scenario)
+    if count > STRATEGY_CAP:
+        raise SizeLimit(f"{count} strategies exceed the cap of {STRATEGY_CAP}")
     factors = []
     for settings, outcomes in ((scenario.settings_a, scenario.outcomes_a.size),
                                (scenario.settings_b, scenario.outcomes_b.size)):
@@ -174,7 +169,24 @@ def _side_factors(scenario: Scenario) -> tuple[tuple[LocalStrategy, ...], np.nda
         factor = (f[:, :, None] == np.arange(outcomes)).reshape(len(f), -1) * 1.0
         factor.flags.writeable = False
         factors.append(factor)
-    return tuple(strategies), factors[0], factors[1]
+    return factors[0], factors[1]
+
+
+# Decoded strategies by (scenario, index), held only by the models that name
+# them: models kept side by side share one object per strategy between them.
+_decoded: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _strategies(scenario: Scenario, indices) -> tuple[LocalStrategy, ...]:
+    """The strategies at ``indices`` in the side factors' order: strategy
+    i * len(S_b) + j sets on each side the outcome its factor row marks."""
+    side_a, side_b = _side_factors(scenario)
+    indices = np.asarray(indices, dtype=np.intp)
+    i, j = np.divmod(indices, len(side_b))
+    f_a = side_a.reshape(len(side_a), scenario.settings_a, -1).argmax(axis=2)[i].tolist()
+    f_b = side_b.reshape(len(side_b), scenario.settings_b, -1).argmax(axis=2)[j].tolist()
+    return tuple(_decoded.setdefault((scenario, k), LocalStrategy(tuple(a), tuple(b)))
+                 for k, a, b in zip(indices.tolist(), f_a, f_b))
 
 
 def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
@@ -185,7 +197,7 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     tables, which with the table laid out as T[(alpha, a), (beta, b)] are
     S_a T S_b' over the side factors: no m x n product.
     """
-    _, side_a, side_b = _side_factors(scenario)
+    side_a, side_b = _side_factors(scenario)
     side_b = side_b.T
     sa, sb, ka, kb = scenario.shape
     layout = (sa * ka, sb * kb)
@@ -200,10 +212,10 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     return price
 
 
-def _priced_rows(price, m: int, order: str = "C") -> np.ndarray:
-    """The m LP rows whose price y -> y @ rows is ``price``: row i is
-    price(e_i), so rows and price agree.  Read-only, in numpy ``order``."""
-    rows = np.array([price(e) for e in np.eye(m)], order=order)
+def _priced_rows(price, m: int) -> np.ndarray:
+    """The m LP rows that agree with ``price``, y -> y @ rows: row i is price(e_i).
+    Read-only and column-contiguous, as the simplex reads A."""
+    rows = np.array([price(e) for e in np.eye(m)], order="F")
     rows.flags.writeable = False
     return rows
 
@@ -212,11 +224,11 @@ def _priced_rows(price, m: int, order: str = "C") -> np.ndarray:
 def _locality_lp(scenario: Scenario, gauge: bool):
     """Membership LP rows, one per cell (the vertex matrix's transpose), or
     with ``gauge`` the visibility rows, the cells less the uniform behavior
-    u; then their price and u.  Column-contiguous, as the simplex reads A."""
+    u; then their price and u."""
     cell_price = _table_price(scenario)
     u = uniform_behavior(scenario).p.ravel()
     price = (lambda y: cell_price(y) - y @ u) if gauge else cell_price
-    return _priced_rows(price, u.size, "F"), price, u
+    return _priced_rows(price, u.size), price, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,23 +247,20 @@ def functional_vertex_bounds(f: BellFunctional) -> VertexBounds:
     By linearity the extrema bound the functional over every LocalModel,
     so this is the oracle for local bounds.
     """
-    strategies, _, _ = _side_factors(f.scenario)
     values = _table_price(f.scenario)(f.coefficients.ravel())  # its value on each strategy
-    imin = int(values.argmin())
-    imax = int(values.argmax())
-    return VertexBounds(float(values[imin]), float(values[imax]), strategies[imin], strategies[imax])
+    imin, imax = int(values.argmin()), int(values.argmax())
+    argmin, argmax = _strategies(f.scenario, (imin, imax))
+    return VertexBounds(float(values[imin]), float(values[imax]), argmin, argmax)
 
 
-def _solution_model(
-    weights: np.ndarray, strategies: tuple[LocalStrategy, ...]
-) -> LocalModel:
+def _solution_model(weights: np.ndarray, scenario: Scenario) -> LocalModel:
     # Solver output hygiene: clamp pivot-roundoff negatives, drop weights of
     # pure roundoff (at most the 1e-12 LocalModel checks against) and
     # renormalize, so the LocalModel invariants hold exactly.
     w = np.maximum(weights, 0.0)
     w /= w.sum()
     keep = np.nonzero(w > 1e-12)[0]
-    return LocalModel(tuple(strategies[i] for i in keep), w[keep] / w[keep].sum())
+    return LocalModel(_strategies(scenario, keep), w[keep] / w[keep].sum())
 
 
 def _membership_lp(b: Behavior, tol: float) -> tuple[LocalModel | None, np.ndarray | None]:
@@ -259,7 +268,7 @@ def _membership_lp(b: Behavior, tol: float) -> tuple[LocalModel | None, np.ndarr
     result = lp.solve_standard_form(rows, b.p.ravel(), feas_tol=tol, price=price)
     if result.status == lp.INFEASIBLE:
         return None, result.farkas
-    return _solution_model(result.x, _side_factors(b.scenario)[0]), None
+    return _solution_model(result.x, b.scenario), None
 
 
 def _witness_from_certificate(b: Behavior, certificate: np.ndarray) -> BellFunctional:

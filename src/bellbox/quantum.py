@@ -36,7 +36,7 @@ class PureTwoQubitState:
         for name in ("c00", "c01", "c10", "c11"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         norm = float(sum(abs(c) ** 2 for c in self.amplitudes().ravel()))
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # NaN amplitudes fail here too
             raise ValueError(f"state norm^2 is {norm!r}, expected 1 within {_NORM_ATOL}")
 
     def amplitudes(self) -> np.ndarray:

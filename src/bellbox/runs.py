@@ -412,10 +412,16 @@ def _number_column(values: list, key: str) -> np.ndarray:
         bad = next(k for k, value in enumerate(values) if type(value) not in types)
         kind = "integer" if integer else "number"
         raise _RecordFault(f"malformed record value: {key} {values[bad]!r} is not a JSON {kind}", bad)
+    dtype = np.int64 if integer else np.float64
     try:
-        return np.fromiter(values, np.int64 if integer else np.float64, len(values))
+        return np.fromiter(values, dtype, len(values))
     except OverflowError as exc:  # an integer beyond int64, or beyond float64 for a time
-        raise _RecordFault(f"malformed record value: {exc}") from exc
+        for k, value in enumerate(values):  # the first value that overflows names the line
+            try:
+                dtype(value)
+            except OverflowError:
+                raise _RecordFault(f"malformed record value: {exc}", k) from exc
+        raise
 
 
 def _symbol_codes(values: list) -> np.ndarray:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -56,11 +57,17 @@ def strategy_behavior(strategy: bb.LocalStrategy, scenario: bb.Scenario) -> bb.B
 
 @functools.lru_cache(maxsize=None)
 def vertex_data(scenario: bb.Scenario) -> tuple[list[bb.LocalStrategy], np.ndarray]:
-    """Oracle: every strategy, and the vertex matrix whose row i is strategy i's
-    flattened behavior table, stacked from ``model_behavior`` and so
-    independent of the side factors that the package's LP rows come from.
-    Read-only; callers must not write to it."""
-    strategies = bb.enumerate_strategies(scenario)
+    """Oracle: every strategy, lexicographic by f_a then f_b, and the vertex
+    matrix whose row i is strategy i's flattened behavior table, stacked from
+    ``model_behavior``.  Both are independent of the side factors that the
+    package's LP rows and strategies come from.  Read-only; callers must not
+    write to it."""
+    ka, kb = scenario.outcomes_a.size, scenario.outcomes_b.size
+    strategies = [
+        bb.LocalStrategy(fa, fb)
+        for fa in itertools.product(range(ka), repeat=scenario.settings_a)
+        for fb in itertools.product(range(kb), repeat=scenario.settings_b)
+    ]
     matrix = np.array([strategy_behavior(s, scenario).p.ravel() for s in strategies])
     matrix.flags.writeable = False
     return strategies, matrix

@@ -343,6 +343,8 @@ class TestFlagHandling:
         [
             (["quantum", "--state", "singlet", "--angles-a", "x,90", "--angles-b", "0,45", "--out", "{out}"],
              "error: --angles-a must be comma-separated numbers, got 'x,90'"),
+            (["quantum", "--state", "amps:nan,0,0,0,0,0,0,0", "--angles-a", "0,90", "--angles-b", "45,135",
+              "--out", "{out}"], "error: state norm^2 is nan, expected 1 within 1e-12"),
             (["inequality", "--behavior", "{behavior}", "--form", "literal", "--indices", "1,2"],
              "error: --form literal takes a single index k"),
             (["simulate", "--behavior", "{behavior}", "--runs", "10", "--seed", "1", "--geometry", "400,inf",
@@ -350,7 +352,7 @@ class TestFlagHandling:
             (["audit", "--runs", "{runs}", "--geometry", "inf,1e-6"],
              "error: L and T must be finite and positive, got inf, 1e-06"),
         ],
-        ids=["angles", "literal-indices", "simulate-infinite-T", "audit-infinite-L"],
+        ids=["angles", "nan-amplitudes", "literal-indices", "simulate-infinite-T", "audit-infinite-L"],
     )
     def test_bad_values_exit_2(self, capsys, tmp_path, uniform_file, argv, message):
         runs_path = tmp_path / "runs.jsonl"

@@ -305,14 +305,22 @@ def highs_strict_feasible(target: bb.Behavior, eta: float) -> bool:
 @pytest.mark.parametrize("settings", [(2, 2), (2, 3), (3, 2)])
 def test_click_rows_match_the_strategies(settings):
     scenario = bb.Scenario(*settings)
-    strategies, _, rows = bb.detection._loophole_block(scenario)
+    strict, strict_price = bb.detection._loophole_lp(scenario, "strict")
+    weak, weak_price = bb.detection._loophole_lp(scenario, "weak")
+    strategies, matrix = vertex_data(scenario.with_no_click())
     cells = np.prod(settings) * 4
-    np.testing.assert_array_equal(rows[cells:], click_rows(strategies, *settings))
-    # The click-click rows are the vertex matrix's click-click columns.
-    _, matrix = vertex_data(scenario.with_no_click())
+    np.testing.assert_array_equal(strict[cells:], click_rows(strategies, *settings))
+    # The click-click rows are the vertex matrix's click-click columns, and
+    # the weak rows are exactly those.
     coincidence = matrix.reshape(-1, *settings, 3, 3)[:, :, :, :2, :2].reshape(len(strategies), -1).T
-    np.testing.assert_array_equal(rows[:cells], coincidence)
-    assert (strategies[-1].f_a, strategies[-1].f_b) == ((2,) * settings[0], (2,) * settings[1])
+    np.testing.assert_array_equal(strict[:cells], coincidence)
+    np.testing.assert_array_equal(weak, coincidence)
+    y = np.random.default_rng(3).normal(size=len(strict))
+    np.testing.assert_allclose(strict_price(y), y @ strict, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(weak_price(y[:cells]), y[:cells] @ weak, rtol=0.0, atol=1e-12)
+    # Never-click, the padding strategy, decodes last.
+    never = bb.polytope._strategies(scenario.with_no_click(), [len(strategies) - 1])
+    assert never == (bb.LocalStrategy((2,) * settings[0], (2,) * settings[1]),)
 
 
 class TestStrictThreshold:

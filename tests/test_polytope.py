@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.optimize import linprog
 
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
-from bellbox.polytope import _locality_lp, _side_factors, _table_price
+from bellbox.polytope import _locality_lp, _strategies, _table_price
 from conftest import random_behavior, random_local_model, strategy_behavior, vertex_data
 
 S3 = bb.Scenario(3, 3)
@@ -165,11 +167,13 @@ VALUE_SCENARIOS = [bb.Scenario(n, n) for n in (2, 3, 4, 5)] + [
 )
 def test_strategy_values_match_the_vertex_matrix(scenario):
     # The side-factor product against the oracle's vertex matrix, stacked from
-    # each strategy's own behavior table; the cached LP rows must be the
+    # each strategy's own behavior table; the strategies decoded from their
+    # indices must be the oracle's, in its order, and the cached LP rows the
     # oracle's exactly: the cells for membership, the cells less the uniform
     # behavior for visibility.
     strategies, matrix = vertex_data(scenario)
-    assert _side_factors(scenario)[0] == tuple(strategies)
+    assert _strategies(scenario, range(bb.strategy_count(scenario))) == tuple(strategies)
+    assert bb.enumerate_strategies(scenario) == strategies
     cells, _, u = _locality_lp(scenario, False)
     np.testing.assert_array_equal(cells, matrix.T)
     shifted, _, _ = _locality_lp(scenario, True)
@@ -178,6 +182,38 @@ def test_strategy_values_match_the_vertex_matrix(scenario):
     for table in (rng.normal(size=scenario.shape), rng.integers(-3, 4, size=scenario.shape)):
         values = _table_price(scenario)(table.ravel())
         np.testing.assert_allclose(values, matrix @ table.ravel(), rtol=0.0, atol=1e-12)
+
+
+def test_vertex_bounds_of_a_binary_9x10_functional():
+    # 2^19 strategies, of which only the argmin and argmax are decoded.  Their
+    # own behaviors must attain min and max, and those must be the extrema
+    # of an independent oracle: for each f_a, B's best outcome per setting is
+    # chosen setting by setting.
+    scenario = bb.Scenario(9, 10)
+    coeffs = np.random.default_rng(910).normal(size=scenario.shape)
+    f = bb.BellFunctional(scenario, coeffs, 0.0, bb.Direction.AT_LEAST)
+    bounds = bb.functional_vertex_bounds(f)
+    for strategy, value in ((bounds.argmin, bounds.min), (bounds.argmax, bounds.max)):
+        reached = bb.evaluate_functional(f, strategy_behavior(strategy, scenario))
+        assert reached == pytest.approx(value, rel=0.0, abs=1e-12)
+    f_a = np.array(list(itertools.product(range(2), repeat=9)))
+    per_b = coeffs[np.arange(9), :, f_a, :].sum(axis=1)  # (f_a, beta, b)
+    assert bounds.min == pytest.approx(per_b.min(axis=2).sum(axis=1).min(), rel=0.0, abs=1e-12)
+    assert bounds.max == pytest.approx(per_b.max(axis=2).sum(axis=1).max(), rel=0.0, abs=1e-12)
+
+
+def test_decoded_strategies_are_shared_but_not_kept():
+    # Models that name the same strategy share one decoded object, and no
+    # cache keeps it once the last model holding it is gone.
+    strategies = (bb.LocalStrategy((0, 1, 0), (1, 1, 0)), bb.LocalStrategy((1, 0, 0), (0, 1, 1)))
+    behavior = bb.model_behavior(bb.LocalModel(strategies, np.array([0.25, 0.75])), S3)
+    first, second = bb.classify(behavior).decomposition, bb.classify(behavior).decomposition
+    assert set(first.strategies) == set(strategies)
+    assert all(x is y for x, y in zip(first.strategies, second.strategies))
+    decoded = weakref.ref(first.strategies[0])
+    del first, second
+    gc.collect()
+    assert decoded() is None
 
 
 class TestLocalDecomposition:

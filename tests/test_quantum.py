@@ -42,6 +42,13 @@ class TestStates:
             bb.PureTwoQubitState(1, 1, 0, 0)
         assert str(error.value) == "state norm^2 is 2.0, expected 1 within 1e-12"
 
+    @pytest.mark.parametrize("amps", [(math.nan, 0, 0, 0), (0, complex(0.0, math.nan), math.sqrt(0.5), math.sqrt(0.5))])
+    def test_nan_amplitudes_rejected(self, amps):
+        # A NaN norm compares False against any tolerance, so the check must
+        # be written to fail it.
+        with pytest.raises(ValueError, match=r"^state norm\^2 is nan, expected 1 within 1e-12$"):
+            bb.PureTwoQubitState(*amps)
+
     def test_parse_state_spec(self):
         assert bb.parse_state_spec("singlet") == bb.SINGLET
         assert bb.parse_state_spec("phi_plus") == bb.PHI_PLUS

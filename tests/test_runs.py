@@ -546,7 +546,9 @@ class TestWriterForm:
             (_record_line(1, tr=1.0).replace("1.0", "1e400"), None),
             (_record_line(1, tca=-1.0).replace("-1.0", "-162016908386501861442703161748.7e300"), None),
             (_record_line(10**18), None),
-            (_record_line(10**19 - 1), ": malformed record value"),
+            (_record_line(10**19 - 1), ":2: malformed record value"),
+            (_record_line(1, alpha=10**19 - 1), ":2: malformed record value"),
+            (_record_line(1, tr=10**400), ":2: malformed record value"),
             (_record_line(1, alpha=1).replace('"alpha":1', '"alpha":01'), ":2: not valid JSON"),
             (_record_line(1).replace('"a":"+"', r'"a":"\u002b"'), None),
             (_record_line(1).replace(',"beta"', ',\t"beta"'), None),
