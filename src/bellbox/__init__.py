@@ -45,7 +45,6 @@ from .polytope import (
     classify,
     enumerate_strategies,
     functional_vertex_bounds,
-    local_model_from_json_dict,
     local_model_to_json_dict,
     local_visibility,
     model_behavior,

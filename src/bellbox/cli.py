@@ -12,6 +12,7 @@ Angles are accepted in degrees and converted to radians internally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .model import (
     wigner_literal,
 )
 
-_INPUT_ERRORS = (BellBoxError, OSError, ValueError, json.JSONDecodeError)
+_INPUT_ERRORS = (BellBoxError, OSError, ValueError)  # json.JSONDecodeError is a ValueError
 
 
 def main(argv=None) -> int:
@@ -263,12 +264,7 @@ def _cmd_audit(ns) -> int:
     _emit(
         {
             "locality": {"pass": locality.passed, "margin_meters": locality.margin_meters},
-            "randomness": {
-                "chi_square_uniformity": randomness.chi_square_uniformity,
-                "dof_uniformity": randomness.dof_uniformity,
-                "chi_square_independence": randomness.chi_square_independence,
-                "dof_independence": randomness.dof_independence,
-            },
+            "randomness": dataclasses.asdict(randomness),
         }
     )
     return 0

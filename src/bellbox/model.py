@@ -55,12 +55,6 @@ class Alphabet(enum.Enum):
     def size(self) -> int:
         return len(self.value)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self.value.index(symbol)
-        except ValueError:
-            raise AlphabetMismatch(f"symbol {symbol!r} not in alphabet {self.value}") from None
-
     @classmethod
     def from_symbols(cls, symbols: Sequence[str]) -> "Alphabet":
         for member in cls:
@@ -316,7 +310,7 @@ def relabel_outputs(b: Behavior, side: Side, perm: Sequence[int]) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# JSON file formats: the checks behavior and local-model files share
+# Behavior file format (JSON)
 # ---------------------------------------------------------------------------
 
 _JSON_TYPE_NAMES = {int: "integer", list: "array"}

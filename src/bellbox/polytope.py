@@ -39,9 +39,6 @@ from .model import (
     BellFunctional,
     Direction,
     Scenario,
-    _check_fields,
-    _json_numbers,
-    _json_value,
     nonsignalling_defect,
     uniform_behavior,
 )
@@ -277,8 +274,7 @@ def _witness_from_certificate(b: Behavior, certificate: np.ndarray) -> BellFunct
     # rescale to max-coefficient 1 so witnesses are comparable across runs.
     coeffs = -certificate.reshape(b.scenario.shape)
     coeffs = coeffs / np.abs(coeffs).max()
-    probe = BellFunctional(b.scenario, coeffs, 0.0, Direction.AT_LEAST)
-    bound = functional_vertex_bounds(probe).min
+    bound = float(_table_price(b.scenario)(coeffs.ravel()).min())  # its minimum over the strategies
     return BellFunctional(b.scenario, coeffs, bound, Direction.AT_LEAST)
 
 
@@ -334,30 +330,14 @@ def local_visibility(b: Behavior, tol: float = DEFAULT_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# LocalModel file format (JSON)
+# LocalModel file format (JSON), written only
 # ---------------------------------------------------------------------------
-
-_MODEL_KEYS = {"strategies", "weights"}
 
 
 def local_model_to_json_dict(model: LocalModel, scenario: Scenario) -> dict:
+    """Serialize in the documented local-model file schema."""
     strategies = []
     for strategy in model.strategies:
         sym_a, sym_b = strategy.symbols(scenario)
         strategies.append({"fa": list(sym_a), "fb": list(sym_b)})
     return {"strategies": strategies, "weights": model.weights.tolist()}
-
-
-def local_model_from_json_dict(data: dict, scenario: Scenario) -> LocalModel:
-    """Parse the LocalModel file schema; weights are validated on load."""
-    _check_fields(data, _MODEL_KEYS, "local model")
-    strategies = []
-    for entry in _json_value(data["strategies"], list, "local model strategies"):
-        _check_fields(entry, {"fa", "fb"}, "local model strategy")
-        strategy = LocalStrategy(
-            tuple(map(scenario.outcomes_a.index, _json_value(entry["fa"], list, "local model fa"))),
-            tuple(map(scenario.outcomes_b.index, _json_value(entry["fb"], list, "local model fb"))),
-        )
-        _check_strategy(strategy, scenario)
-        strategies.append(strategy)
-    return LocalModel(tuple(strategies), _json_numbers(data["weights"], "local model weights"))

@@ -28,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -221,10 +222,13 @@ def randomness_audit(t: Tally) -> RandomnessAudit:
 # Run log (JSON Lines) file format
 # ---------------------------------------------------------------------------
 
-_RECORD_KEYS = ("i", "alpha", "beta", "a", "b", "tca", "tcb", "tr")
+# The one statement of a record's form: its keys, and which hold integers, are read from it.
 _RECORD_LINE = '{"i":%d,"alpha":%d,"beta":%d,"a":"%s","b":"%s","tca":%s,"tcb":%s,"tr":%s}\n'
+_RECORD_KEYS = tuple(re.findall(r'"(\w+)":', _RECORD_LINE))
+_INTEGER_KEYS = frozenset(re.findall(r'"(\w+)":%d', _RECORD_LINE))
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SYMBOL_CODES = {"+": 0, "-": 1, "0": 2}  # the index of each symbol in every alphabet that has it
+# The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
+_SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
 _CHUNK_RECORDS = 1 << 14  # records formatted or parsed per step
 # Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
 # name; it caps the count array of a read log at 4.7 MB.
@@ -406,7 +410,7 @@ def _number_column(values: list, key: str) -> np.ndarray:
     """A numeric record field: int64 for the index and settings, whose values must
     be what ``json`` reads a JSON integer as (an int, never a bool), and float64
     for the times, whose values may also be floats."""
-    integer = key in ("i", "alpha", "beta")
+    integer = key in _INTEGER_KEYS
     types = {int} if integer else {int, float}
     if not types.issuperset(map(type, values)):
         bad = next(k for k, value in enumerate(values) if type(value) not in types)
@@ -478,7 +482,7 @@ def _writer_form_table() -> np.ndarray:
             sources = [state]
         return sources
 
-    def integer(sources, signed):  # -?(0|[1-9]\d{0,17}), so every value fits int64
+    def integer(sources, signed=False):  # -?(0|[1-9]\d{0,17}), so every value fits int64
         if signed:
             (minus,) = new()
             edge(sources, "-", minus)
@@ -527,15 +531,14 @@ def _writer_form_table() -> np.ndarray:
         edge(sources, "".join(_SYMBOL_CODES), state)
         return [state]
 
-    ends = integer(text([_START], '{"i":'), signed=True)
-    ends = integer(text(ends, ',"alpha":'), signed=False)
-    ends = integer(text(ends, ',"beta":'), signed=False)
-    ends = symbol(text(ends, ',"a":"'))
-    ends = symbol(text(ends, '","b":"'))
-    ends = choice_time(text(ends, '","tca":'))
-    ends = choice_time(text(ends, ',"tcb":'))
-    ends = report_time(text(ends, ',"tr":'))
-    edge(text(ends, "}"), "\n", _ACCEPT)
+    # The literal text of _RECORD_LINE around its slots, and each slot's value grammar.
+    *pieces, close = re.split("%[ds]", _RECORD_LINE)
+    values = (functools.partial(integer, signed=True), integer, integer, symbol, symbol,
+              choice_time, choice_time, report_time)
+    ends = [_START]
+    for piece, value in zip(pieces, values, strict=True):
+        ends = value(text(ends, piece))
+    edge(text(ends, close.removesuffix("\n")), "\n", _ACCEPT)
     table = (table[:count] << 8).ravel()
     table.flags.writeable = False  # one cached table serves every read
     return table
@@ -569,7 +572,7 @@ def _writer_form_columns(raw: list[str], full: bool) -> tuple[np.ndarray | None,
         state = table.take(state + column)
     if (state != _ACCEPT << 8).any():
         return None
-    marks = np.flatnonzero((data == ord(":")) | (data == ord(","))).reshape(-1, 15)
+    marks = np.flatnonzero((data == ord(":")) | (data == ord(","))).reshape(-1, 2 * len(_RECORD_KEYS) - 1)
     first = marks[:, 0::2] + 1
     stop = np.column_stack((marks[:, 1::2], ends - 1))
     alpha, beta = (_slot_integers(padded, first[:, k], stop[:, k]) for k in (1, 2))

@@ -50,6 +50,16 @@ def random_local_model(
     return bb.LocalModel(tuple(strategies[i] for i in picks), weights)
 
 
+def decode_local_model(data: dict, scenario: bb.Scenario) -> bb.LocalModel:
+    """A local-model document, as ``local_model_to_json_dict`` writes it, read back."""
+    strategies = tuple(
+        bb.LocalStrategy(tuple(map(scenario.outcomes_a.symbols.index, entry["fa"])),
+                         tuple(map(scenario.outcomes_b.symbols.index, entry["fb"])))
+        for entry in data["strategies"]
+    )
+    return bb.LocalModel(strategies, data["weights"])
+
+
 def strategy_behavior(strategy: bb.LocalStrategy, scenario: bb.Scenario) -> bb.Behavior:
     """The deterministic product behavior of one strategy, as a one-strategy model."""
     return bb.model_behavior(bb.LocalModel((strategy,), np.ones(1)), scenario)

@@ -6,6 +6,7 @@ import pytest
 
 import bellbox as bb
 from bellbox.cli import main
+from conftest import decode_local_model
 
 
 def run_cli(capsys, *argv):
@@ -221,9 +222,11 @@ class TestEfficiency:
         assert document["eta_star"] == 1.0
         assert document["mode"] == "strict"
         assert document["trace"] == [[0.0, True], [1.0, True]]
+        # At eta = 1 the written model's click-click blocks are the target itself.
         extended = bb.Scenario().with_no_click()
-        model = bb.local_model_from_json_dict(json.loads(model_out.read_text()), extended)
-        assert len(model.strategies) >= 1
+        model = decode_local_model(json.loads(model_out.read_text()), extended)
+        coincidences = bb.model_behavior(model, extended).p[:, :, :2, :2]
+        np.testing.assert_allclose(coincidences, bb.uniform_behavior(bb.Scenario()).p, rtol=0, atol=1e-9)
 
     def test_strict_chsh_prints_the_exact_threshold(self, capsys, tmp_path):
         # Garg and Mermin's 2/(1+sqrt 2) = 0.828427124746..., and the
@@ -273,6 +276,9 @@ class TestAudit:
         document = json.loads(stdout)
         assert document["locality"]["pass"] is True
         assert document["locality"]["margin_meters"] == 100.207542
+        assert list(document["randomness"]) == [
+            "chi_square_uniformity", "dof_uniformity", "chi_square_independence", "dof_independence"
+        ]
         assert document["randomness"]["dof_uniformity"] == 8
         assert document["randomness"]["dof_independence"] == 4
 
@@ -347,18 +353,23 @@ class TestFlagHandling:
               "--out", "{out}"], "error: state norm^2 is nan, expected 1 within 1e-12"),
             (["inequality", "--behavior", "{behavior}", "--form", "literal", "--indices", "1,2"],
              "error: --form literal takes a single index k"),
+            (["inequality", "--behavior", "{ternary}", "--form", "chained", "--indices", "1,2,0"],
+             "error: this functional requires binary outcomes on both sides"),
             (["simulate", "--behavior", "{behavior}", "--runs", "10", "--seed", "1", "--geometry", "400,inf",
               "--out", "{out}"], "error: L and T must be finite and positive, got 400.0, inf"),
             (["audit", "--runs", "{runs}", "--geometry", "inf,1e-6"],
              "error: L and T must be finite and positive, got inf, 1e-06"),
         ],
-        ids=["angles", "nan-amplitudes", "literal-indices", "simulate-infinite-T", "audit-infinite-L"],
+        ids=["angles", "nan-amplitudes", "literal-indices", "ternary-inequality", "simulate-infinite-T",
+             "audit-infinite-L"],
     )
     def test_bad_values_exit_2(self, capsys, tmp_path, uniform_file, argv, message):
         runs_path = tmp_path / "runs.jsonl"
         bb.write_run_log(bb.simulate(bb.uniform_behavior(bb.Scenario()), 10, 1, bb.Geometry(400.0, 1e-6)), runs_path)
+        ternary_path = tmp_path / "ternary.json"
+        ternary_path.write_text(json.dumps(bb.behavior_to_json_dict(bb.uniform_behavior(bb.Scenario().with_no_click()))))
         out = tmp_path / "out.json"
-        paths = {"behavior": uniform_file, "runs": str(runs_path), "out": str(out)}
+        paths = {"behavior": uniform_file, "ternary": str(ternary_path), "runs": str(runs_path), "out": str(out)}
         code, stdout, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, stdout, err) == (2, "", message + "\n")
         assert not out.exists()

@@ -53,6 +53,19 @@ class TestScenario:
         with pytest.raises(ScenarioTooSmall, match="need at least"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bb.chsh_functional(scenario=bb.Scenario(2, 2).with_no_click()),
+            lambda: bb.wigner_chained(1, 2, 0, bb.Scenario(3, 3, bb.Alphabet.PLUS_MINUS, bb.Alphabet.PLUS_MINUS_NULL)),
+            lambda: bb.wigner_literal(0, bb.Scenario(3, 3, bb.Alphabet.PLUS_MINUS_NULL, bb.Alphabet.PLUS_MINUS)),
+        ],
+        ids=["chsh-no-click", "chained-no-click-b", "literal-no-click-a"],
+    )
+    def test_functionals_need_binary_outcomes(self, build):
+        with pytest.raises(AlphabetMismatch, match="^this functional requires binary outcomes on both sides$"):
+            build()
+
     def test_alphabets_must_be_members(self):
         with pytest.raises(AlphabetMismatch, match="must be Alphabet members"):
             bb.Scenario(2, 2, "+-")
@@ -338,6 +351,13 @@ class TestBehaviorJson:
         back = bb.behavior_from_json_dict(data, ignore=("stderr", "totals"))
         np.testing.assert_array_equal(back.p, bb.uniform_behavior(S3).p)
 
+    def test_companions_admit_no_other_field(self):
+        data = bb.behavior_to_json_dict(bb.uniform_behavior(S3))
+        data["stderr"] = data["p"]
+        data["comment"] = "nope"
+        with pytest.raises(SchemaError, match=r"^unknown fields in behavior document: \['comment'\]$"):
+            bb.behavior_from_json_dict(data, ignore=("stderr", "totals"))
+
     @pytest.mark.parametrize(
         "document, message",
         [
@@ -351,10 +371,12 @@ class TestBehaviorJson:
             (_uniform_doc(p=[[[[0.5, 0.5], [0, 0]]] * 2, [[[1.0, 0], [0]]] * 2]),
              "behavior p must hold JSON numbers only"),
             (_uniform_doc(p=[[[[10**400, 0], [0, 0]]] * 2] * 2), "behavior p: int too large"),
+            (_uniform_doc(p=[[[[None, 0], [0, 0]]] * 2] * 2), "behavior p must hold JSON numbers only"),
+            (_uniform_doc(p="x"), "behavior p must hold JSON numbers only"),
             ([1, 2], "behavior document must be a JSON object"),
         ],
         ids=["float-settings", "string-settings", "bool-settings", "number-alphabet", "string-alphabet",
-             "string-entry", "bool-entry", "ragged-p", "huge-entry", "not-an-object"],
+             "string-entry", "bool-entry", "ragged-p", "huge-entry", "null-entry", "string-p", "not-an-object"],
     )
     def test_json_types_enforced(self, document, message):
         # Values are what json reads from a file: none is coerced to the type the schema wants.

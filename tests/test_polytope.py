@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import linprog
 import bellbox as bb
 from bellbox.errors import AlphabetMismatch, SchemaError, SignallingInput, SizeLimit
 from bellbox.polytope import _locality_lp, _strategies, _table_price
-from conftest import random_behavior, random_local_model, strategy_behavior, vertex_data
+from conftest import decode_local_model, random_behavior, random_local_model, strategy_behavior, vertex_data
 
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
@@ -116,6 +117,12 @@ class TestModelBehavior:
             bb.LocalModel((strategy, strategy), np.array([1.5, -0.5]))
         with pytest.raises(SchemaError, match="^2 weights for 1 strategies$"):
             bb.LocalModel((strategy,), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("weights", [[float("nan")], [0.5, float("nan")]])
+    def test_nan_weights_rejected(self, weights):
+        strategy = bb.LocalStrategy((0, 0, 0), (0, 0, 0))
+        with pytest.raises(SchemaError):
+            bb.LocalModel((strategy,) * len(weights), np.array(weights))
 
     def test_weight_messages_print_plain_numbers(self):
         strategy = bb.LocalStrategy((0, 0, 0), (0, 0, 0))
@@ -424,27 +431,32 @@ class TestLocalModelJson:
         rng = np.random.default_rng(6)
         model = random_local_model(rng, bb.enumerate_strategies(S3))
         data = bb.local_model_to_json_dict(model, S3)
-        back = bb.local_model_from_json_dict(data, S3)
+        assert data["weights"] == model.weights.tolist()
+        back = decode_local_model(data, S3)
         np.testing.assert_array_equal(
             bb.model_behavior(back, S3).p, bb.model_behavior(model, S3).p
         )
 
-    def test_bad_weights_rejected_on_load(self):
-        data = {"strategies": [{"fa": ["+", "+", "+"], "fb": ["+", "+", "+"]}], "weights": [0.7]}
-        with pytest.raises(SchemaError):
-            bb.local_model_from_json_dict(data, S3)
-
-    @pytest.mark.parametrize("weights", [[float("nan")], [0.5, float("nan")]])
-    def test_nan_weights_rejected(self, weights):
-        strategy = {"fa": ["+", "+", "+"], "fb": ["+", "+", "+"]}
-        data = {"strategies": [strategy] * len(weights), "weights": weights}
-        with pytest.raises(SchemaError):
-            bb.local_model_from_json_dict(data, S3)
-
-    def test_unknown_field_rejected(self):
-        data = {"strategies": [], "weights": [], "note": "x"}
-        with pytest.raises(SchemaError):
-            bb.local_model_from_json_dict(data, S3)
+    @pytest.mark.parametrize(
+        "scenario",
+        [S2, S3, S3T, bb.Scenario(2, 3, bb.Alphabet.PLUS_MINUS, bb.Alphabet.PLUS_MINUS_NULL)],
+        ids=["binary-2x2", "binary-3x3", "ternary-3x3", "mixed-2x3"],
+    )
+    def test_written_document_schema(self, scenario):
+        # The file holds exactly the documented fields, with the JSON types a reader expects.
+        rng = np.random.default_rng(scenario.settings_a * 10 + scenario.settings_b)
+        model = random_local_model(rng, bb.enumerate_strategies(scenario))
+        data = bb.local_model_to_json_dict(model, scenario)
+        assert set(data) == {"strategies", "weights"}
+        assert all(type(w) is float for w in data["weights"])
+        assert len(data["strategies"]) == len(data["weights"])
+        for entry, strategy in zip(data["strategies"], model.strategies):
+            assert set(entry) == {"fa", "fb"}
+            assert len(entry["fa"]) == scenario.settings_a and len(entry["fb"]) == scenario.settings_b
+            assert set(entry["fa"]) <= set(scenario.outcomes_a.symbols)
+            assert set(entry["fb"]) <= set(scenario.outcomes_b.symbols)
+            assert (tuple(entry["fa"]), tuple(entry["fb"])) == strategy.symbols(scenario)
+        assert json.loads(json.dumps(data)) == data
 
     def test_ternary_symbols(self):
         model = bb.LocalModel(
@@ -452,26 +464,5 @@ class TestLocalModelJson:
         )
         data = bb.local_model_to_json_dict(model, S3T)
         assert data["strategies"][0]["fa"] == ["+", "-", "0"]
-        back = bb.local_model_from_json_dict(data, S3T)
+        back = decode_local_model(data, S3T)
         assert back.strategies[0] == model.strategies[0]
-
-    @pytest.mark.parametrize(
-        "fields, error, message",
-        [
-            ({"weights": ["1"]}, SchemaError, "local model weights must hold JSON numbers only"),
-            ({"weights": [True]}, SchemaError, "local model weights must hold JSON numbers only"),
-            ({"weights": "x"}, SchemaError, "local model weights must hold JSON numbers only"),
-            ({"strategies": [["+"] * 3]}, SchemaError, "local model strategy document must be a JSON object"),
-            ({"strategies": {"fa": ["+"] * 3}}, SchemaError, "local model strategies must be a JSON array"),
-            ({"strategies": [{"fa": "+++", "fb": ["+"] * 3}]}, SchemaError, "local model fa must be a JSON array"),
-            ({"strategies": [{"fa": ["+", "x", "+"], "fb": ["+"] * 3}]}, AlphabetMismatch, "symbol 'x' not in"),
-            ({"strategies": [{"fa": ["+", 0, "+"], "fb": ["+"] * 3}]}, AlphabetMismatch, "symbol 0 not in"),
-        ],
-        ids=["string-weight", "bool-weight", "string-weights", "list-entry", "object-strategies",
-             "string-fa", "unknown-symbol", "number-symbol"],
-    )
-    def test_json_types_enforced(self, fields, error, message):
-        data = {"strategies": [{"fa": ["+"] * 3, "fb": ["+"] * 3}], "weights": [1.0]}
-        data.update(fields)
-        with pytest.raises(error, match=f"^{message}"):
-            bb.local_model_from_json_dict(data, S3)
