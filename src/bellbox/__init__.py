@@ -57,7 +57,6 @@ from .quantum import (
     PureTwoQubitState,
     behavior_from_state,
     parse_state_spec,
-    singlet_joint,
 )
 from .runs import (
     SPEED_OF_LIGHT,

@@ -115,16 +115,3 @@ def behavior_from_state(state: PureTwoQubitState, plan: MeasurementPlan) -> Beha
     vb = _eigenvector_table(plan.angles_b)
     amp = np.einsum("xai,ybj,ij->xyab", va, vb, state.amplitudes())
     return Behavior(scenario, np.abs(amp) ** 2)
-
-
-def singlet_joint(delta: float) -> np.ndarray:
-    """Closed-form singlet outcome table at analyzer separation ``delta``.
-
-    Returns the 2x2 array [[p(+,+), p(+,-)], [p(-,+), p(-,-)]] with
-    p(+,+) = p(-,-) = (1 - cos delta)/4 and p(+,-) = p(-,+) =
-    (1 + cos delta)/4.  Kept deliberately independent of
-    :func:`behavior_from_state` so the two can cross-check each other.
-    """
-    anti = (1.0 + math.cos(delta)) / 4.0
-    corr = (1.0 - math.cos(delta)) / 4.0
-    return np.array([[corr, anti], [anti, corr]])

@@ -18,8 +18,8 @@ counts a log in memory that does not grow with its length;
 ``read_run_log`` loads the whole log.  Both reject records that break the
 time order above.  A chunk whose every line is in the writer's own form
 is read by a vectorized byte automaton, with no dict per record; any
-other valid JSON line gives the same result through ``json``, which
-alone defines a valid log and words every error.
+other chunk is read record by record through ``json``, which alone
+defines a valid log and words every error, naming the first faulty line.
 """
 
 from __future__ import annotations
@@ -225,7 +225,11 @@ def randomness_audit(t: Tally) -> RandomnessAudit:
 # The one statement of a record's form: its keys, and which hold integers, are read from it.
 _RECORD_LINE = '{"i":%d,"alpha":%d,"beta":%d,"a":"%s","b":"%s","tca":%s,"tcb":%s,"tr":%s}\n'
 _RECORD_KEYS = tuple(re.findall(r'"(\w+)":', _RECORD_LINE))
-_INTEGER_KEYS = frozenset(re.findall(r'"(\w+)":%d', _RECORD_LINE))
+# Each number field's column dtype, read from its slot: %d an integer, a bare %s a time.
+_NUMBER_DTYPES = {key: np.int64 if slot == "d" else np.float64
+                  for key, slot in re.findall(r'"(\w+)":%(\w)', _RECORD_LINE)}
+# Each field's column dtype, in record order; the symbols a and b are read as int64 codes.
+_COLUMN_DTYPES = {key: _NUMBER_DTYPES.get(key, np.int64) for key in _RECORD_KEYS}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
 _SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
@@ -337,104 +341,65 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None,
     both choices end before t=0 and the report is not before t=0.
     A chunk whose every line is in the writer's own form is read by
     ``_writer_form_columns``, and its index and time columns are None
-    unless ``full``; any other chunk goes through ``json``, which alone
-    defines a valid log and words every error.
+    unless ``full``; any other chunk is read record by record through
+    ``_json_record``, which alone defines a valid log and words every
+    error, naming the first faulty line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         first_lineno = 1
         while raw := list(itertools.islice(handle, _CHUNK_RECORDS)):
             columns = _writer_form_columns(raw, full)
             if columns is None:
-                lines = [line for line in map(str.strip, raw) if line]
-                if lines:
-                    try:
-                        columns = _parse_chunk(lines)
-                    except _RecordFault as fault:
-                        where = path
-                        if fault.k is not None:
-                            linenos = [first_lineno + j for j, line in enumerate(raw) if line.strip()]
-                            where = f"{path}:{linenos[fault.k]}"
-                        raise SchemaError(f"{where}: {fault}") from fault
+                records = []
+                for lineno, line in enumerate(map(str.strip, raw), first_lineno):
+                    if line:
+                        try:
+                            records.append(_json_record(line))
+                        except ValueError as fault:
+                            raise SchemaError(f"{path}:{lineno}: {fault}") from fault
+                if records:
+                    columns = list(map(np.array, zip(*records), _COLUMN_DTYPES.values()))
             if columns is not None:
                 yield columns
             first_lineno += len(raw)
 
 
-class _RecordFault(Exception):
-    """A fault in a chunk, at nonblank line ``k`` of it when one line is to blame."""
+def _json_record(line: str) -> tuple:
+    """One line's record through ``json``: its values in ``_RECORD_KEYS`` order, symbols as codes.
 
-    def __init__(self, message: str, k: int | None = None):
-        super().__init__(message)
-        self.k = k
-
-
-def _parse_chunk(lines: list[str]) -> tuple[np.ndarray, ...]:
-    """One ``json.loads`` call per chunk; line by line only to find a line that fails."""
-    text = "\n,".join(lines)
-    # Lines hold no newline, so one object per line means every join reads "}\n,{".
-    framed = text.count("}\n,{") == len(lines) - 1 and text[0] == "{" and text[-1] == "}"
+    The checks run in a fixed order, and the first that fails raises
+    ValueError with its message: the field set; each number's JSON type
+    (an int, never a bool, for the index and settings), then whether it
+    fits its column's dtype; the symbols; the setting indices; the choice
+    times; the report time.
+    """
     try:
-        rows = json.loads("[" + text + "]") if framed else None
-    except json.JSONDecodeError:
-        rows = None
-    if rows is None or len(rows) != len(lines):
-        rows = [_parse_line(line, k) for k, line in enumerate(lines)]
-    try:
-        fields = [[row[key] for row in rows] for key in _RECORD_KEYS]
-        exact = sum(map(len, rows)) == len(_RECORD_KEYS) * len(rows)
-    except (KeyError, TypeError):
-        exact = False
-    if not exact:
-        bad = next(k for k, row in enumerate(rows) if not isinstance(row, dict) or row.keys() != set(_RECORD_KEYS))
-        raise _RecordFault(f"record fields must be {sorted(_RECORD_KEYS)}", bad)
-    index, alpha, beta, tca, tcb, tr = (_number_column(fields[k], _RECORD_KEYS[k]) for k in (0, 1, 2, 5, 6, 7))
-    a_code, b_code = _symbol_codes(fields[3]), _symbol_codes(fields[4])
-    for bad, what in (
-        ((alpha < 0) | (beta < 0), "negative setting index"),
-        (~(tca < 0.0) | ~(tcb < 0.0), "input choices must end before t=0"),
-        (~(tr >= 0.0), "outputs cannot be reported before t=0"),
-    ):
-        if bad.any():
-            raise _RecordFault(what, int(bad.argmax()))
-    return index, alpha, beta, a_code, b_code, tca, tcb, tr
-
-
-def _parse_line(line: str, k: int):
-    try:
-        return json.loads(line)
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise _RecordFault(f"not valid JSON: {exc}", k) from exc
-
-
-def _number_column(values: list, key: str) -> np.ndarray:
-    """A numeric record field: int64 for the index and settings, whose values must
-    be what ``json`` reads a JSON integer as (an int, never a bool), and float64
-    for the times, whose values may also be floats."""
-    integer = key in _INTEGER_KEYS
-    types = {int} if integer else {int, float}
-    if not types.issuperset(map(type, values)):
-        bad = next(k for k, value in enumerate(values) if type(value) not in types)
-        kind = "integer" if integer else "number"
-        raise _RecordFault(f"malformed record value: {key} {values[bad]!r} is not a JSON {kind}", bad)
-    dtype = np.int64 if integer else np.float64
-    try:
-        return np.fromiter(values, dtype, len(values))
-    except OverflowError as exc:  # an integer beyond int64, or beyond float64 for a time
-        for k, value in enumerate(values):  # the first value that overflows names the line
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    if type(record) is not dict or record.keys() != _COLUMN_DTYPES.keys():
+        raise ValueError(f"record fields must be {sorted(_RECORD_KEYS)}")
+    for key, dtype in _NUMBER_DTYPES.items():
+        value = record[key]
+        if type(value) is not int and (type(value) is not float or dtype is np.int64):
+            kind = "integer" if dtype is np.int64 else "number"
+            raise ValueError(f"malformed record value: {key} {value!r} is not a JSON {kind}")
+        if type(value) is int:
             try:
                 dtype(value)
-            except OverflowError:
-                raise _RecordFault(f"malformed record value: {exc}", k) from exc
-        raise
-
-
-def _symbol_codes(values: list) -> np.ndarray:
-    try:
-        return np.fromiter(map(_SYMBOL_CODES.__getitem__, values), np.int64, len(values))
-    except (KeyError, TypeError):  # only the table's strings are symbols: the number 0 is none
-        bad = next(k for k, value in enumerate(values) if type(value) is not str or value not in _SYMBOL_CODES)
-        message = f"unknown outcome symbols: {values[bad]!r} is none of {list(_SYMBOL_CODES)}"
-        raise _RecordFault(message, bad) from None
+            except OverflowError as exc:  # an integer beyond int64, or beyond float64 for a time
+                raise ValueError(f"malformed record value: {exc}") from exc
+    i, alpha, beta, a, b, tca, tcb, tr = map(record.__getitem__, _RECORD_KEYS)
+    for symbol in (a, b):  # only the table's strings are symbols: the number 0 is none
+        if type(symbol) is not str or symbol not in _SYMBOL_CODES:
+            raise ValueError(f"unknown outcome symbols: {symbol!r} is none of {list(_SYMBOL_CODES)}")
+    if alpha < 0 or beta < 0:
+        raise ValueError("negative setting index")
+    if not (tca < 0.0 and tcb < 0.0):
+        raise ValueError("input choices must end before t=0")
+    if not tr >= 0.0:
+        raise ValueError("outputs cannot be reported before t=0")
+    return i, alpha, beta, _SYMBOL_CODES[a], _SYMBOL_CODES[b], tca, tcb, tr
 
 
 # The writer's own record form, read without building a dict per record.  One

@@ -15,12 +15,14 @@ files, so two source trees compare with one ``diff -r``:
 The list covers every subcommand: singlet and product-state behaviors at
 2x2 to 5x5 and a 9x10 one, classify on each, inequality bounds, efficiency in
 both modes with ``--model-out``, simulate, estimate and audit at 2e5 runs,
-and bad input.  The script exits 1 when a command's exit code is not the one
+estimate and audit on two small logs in a form simulate never writes, and
+bad input.  The script exits 1 when a command's exit code is not the one
 listed for it, so it doubles as a smoke test.  pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +40,23 @@ def _quantum(out: str, state: str, angles_a: str, angles_b: str) -> tuple[int, s
 
 def _cmd(code: int, name: str, *argv: str) -> tuple[int, str, list[str]]:
     return code, name, list(argv)
+
+
+def _write_logs(out: Path) -> None:
+    """Write two run logs that only the reader's ``json`` path reads: simulate writes neither form.
+
+    ``respaced.jsonl`` holds valid records re-spaced by ``json.dumps``'
+    default separators.  ``two-faults.jsonl`` has a bad symbol on line 2 and
+    a string alpha on line 4, so its error names line 2.
+    """
+    records = [{"i": k, "alpha": k % 2, "beta": k // 2 % 2, "a": "+-"[k // 4 % 2], "b": "-+0"[k % 3],
+                "tca": -1e-07, "tcb": -2.5e-07, "tr": 1e-06} for k in range(12)]
+    (out / "respaced.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    faulty = records[:5]
+    faulty[1] = {**faulty[1], "a": "x"}
+    faulty[3] = {**faulty[3], "alpha": "1"}
+    (out / "two-faults.jsonl").write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in faulty),
+                                          encoding="utf-8")
 
 
 # (expected exit code, name, arguments).  The 4x4 strict search at turn 0
@@ -87,6 +106,8 @@ COMMANDS += [
     _cmd(0, "estimate-3x3", "estimate", "--runs", "runs3.jsonl", "--out", "estimate3.json"),
     _cmd(0, "audit", "audit", "--runs", "runs.jsonl", "--geometry", "400,1e-6"),
     _cmd(0, "audit-close", "audit", "--runs", "runs3.jsonl", "--geometry", "100,1e-6"),
+    _cmd(0, "estimate-respaced", "estimate", "--runs", "respaced.jsonl", "--out", "estimate-respaced.json"),
+    _cmd(2, "audit-two-faults", "audit", "--runs", "two-faults.jsonl", "--geometry", "400,1e-6"),
     _cmd(0, "classify-estimate", "classify", "--behavior", "estimate.json"),
     _cmd(0, "classify-estimate-tol", "classify", "--behavior", "estimate.json", "--tol", "0.01"),
     _cmd(0, "classify-estimate3-tol", "classify", "--behavior", "estimate3.json", "--tol", "0.01"),
@@ -111,6 +132,7 @@ def main(argv: list[str]) -> int:
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1])
     out.mkdir(parents=True)
+    _write_logs(out)
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}  # --help wraps at COLUMNS
     wrong = []
     for k, (expected, name, args) in enumerate(COMMANDS):

@@ -399,6 +399,19 @@ class TestStrictThreshold:
         assert bb.construct_loophole_model(target, 0.9, "strict") is None
         assert not highs_strict_feasible(target, 0.9)
 
+    def test_turned_singlet4_against_highs(self):
+        # The 4x4 singlet turned by 37 degrees: its strict search rebuilds the
+        # basis inverse on a small pivot (lp._SMALL_PIVOT) 9 times, and without
+        # the rebuild it raises ArithmeticError.  Turning both sides changes the
+        # behavior only by rounding, so eta* is the unturned singlet's.
+        plan = bb.MeasurementPlan.from_degrees((37.0, 82.0, 127.0, 172.0), (59.5, 104.5, 149.5, 194.5))
+        target = bb.behavior_from_state(bb.SINGLET, plan)
+        result = bb.critical_efficiency(target, mode="strict")
+        assert result.eta_star == pytest.approx(0.8468985317829479, abs=1e-9)
+        (_, _, (lo, _), (hi, _)) = result.bisection_trace
+        assert highs_strict_feasible(target, lo)
+        assert not highs_strict_feasible(target, hi)
+
     def test_noisy_singlets_against_highs(self):
         rng = np.random.default_rng(8)
         for trial in range(20):

@@ -310,7 +310,11 @@ def test_small_pivot_rebuilds_the_inverse(monkeypatch):
     # in the updated basis inverse grows into a pivot element below
     # _SMALL_PIVOT.  No membership LP among thousands of seeded 3x3-6x6
     # classifies takes that path, nor any gauge visibility LP (local_visibility)
-    # among 506 seeded 2x2-6x6 noisy singlets.
+    # among 506 seeded 2x2-6x6 noisy singlets.  The strict loophole search on
+    # the 4x4 singlet turned by 37 degrees rebuilds 9 times, and raises
+    # ArithmeticError without the rebuild; test_detection.py's
+    # test_turned_singlet4_against_highs pins its eta*.  Neither benchmark
+    # corpus runs that search.
     rebuilds = []
     refactor = lp._Basis.refactor
 

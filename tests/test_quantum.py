@@ -27,6 +27,18 @@ def dm_joint_probability(state: bb.PureTwoQubitState, theta_a, theta_b, a, b):
     return float(np.real(np.trace(rho @ joint)))
 
 
+def singlet_joint(delta: float) -> np.ndarray:
+    """Closed-form singlet outcome table at analyzer separation ``delta``.
+
+    Returns the 2x2 array [[p(+,+), p(+,-)], [p(-,+), p(-,-)]] with
+    p(+,+) = p(-,-) = (1 - cos delta)/4 and p(+,-) = p(-,+) =
+    (1 + cos delta)/4, independent of the library's eigenvector route.
+    """
+    anti = (1.0 + math.cos(delta)) / 4.0
+    corr = (1.0 - math.cos(delta)) / 4.0
+    return np.array([[corr, anti], [anti, corr]])
+
+
 class TestStates:
     def test_presets_are_normalized(self):
         for state in (bb.SINGLET, bb.PHI_PLUS):
@@ -111,16 +123,16 @@ class TestBehaviorFromState:
 class TestSingletJoint:
     def test_zero_separation(self):
         np.testing.assert_allclose(
-            bb.singlet_joint(0.0), [[0.0, 0.5], [0.5, 0.0]], atol=1e-15
+            singlet_joint(0.0), [[0.0, 0.5], [0.5, 0.0]], atol=1e-15
         )
 
     def test_pi_separation(self):
         np.testing.assert_allclose(
-            bb.singlet_joint(math.pi), [[0.5, 0.0], [0.0, 0.5]], atol=1e-15
+            singlet_joint(math.pi), [[0.5, 0.0], [0.0, 0.5]], atol=1e-15
         )
 
     def test_pi_third(self):
-        assert bb.singlet_joint(math.pi / 3)[0, 0] == pytest.approx(0.125, abs=1e-15)
+        assert singlet_joint(math.pi / 3)[0, 0] == pytest.approx(0.125, abs=1e-15)
 
     def test_cross_check_against_state_route(self):
         # Two independent implementations agree cell by cell on 100 plans.
@@ -130,7 +142,7 @@ class TestSingletJoint:
             behavior = bb.behavior_from_state(bb.SINGLET, plan)
             for alpha, theta_a in enumerate(plan.angles_a):
                 for beta, theta_b in enumerate(plan.angles_b):
-                    closed_form = bb.singlet_joint(theta_a - theta_b)
+                    closed_form = singlet_joint(theta_a - theta_b)
                     np.testing.assert_allclose(
                         behavior.p[alpha, beta], closed_form, atol=1e-12
                     )

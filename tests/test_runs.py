@@ -337,6 +337,39 @@ class TestRunLogStreaming:
             with pytest.raises(SchemaError, match=rf"runs\.jsonl:9: not valid JSON"):
                 reader(path)
 
+    def test_first_faulty_line_named_when_a_chunk_has_two_faults(self, tmp_path):
+        # A bad symbol on line 2 and a string alpha on line 4: the error names
+        # line 2, though the type check of line 4 comes before the symbol check.
+        lines = [_record_line(i) for i in range(5)]
+        lines[1] = _record_line(1, a="x")
+        lines[3] = _record_line(3, alpha="1")
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SchemaError, match=r"runs\.jsonl:2: unknown outcome symbols: 'x' is none of"):
+                reader(path)
+
+    def test_checks_within_a_record_run_in_order(self, tmp_path):
+        # Each fault, in the order the checks run; with faults k onward in one
+        # record, fault k is the one named.
+        faults = [
+            ("x", 1, "record fields must be"),
+            ("i", 10**19, "malformed record value: Python int too large"),
+            ("beta", "1", "malformed record value: beta '1' is not a JSON integer"),
+            ("a", "x", "unknown outcome symbols"),
+            ("alpha", -1, "negative setting index"),
+            ("tca", 0.0, "input choices must end before t=0"),
+            ("tr", -1e-9, "outputs cannot be reported before t=0"),
+        ]
+        path = tmp_path / "runs.jsonl"
+        for k, (_, _, message) in enumerate(faults):
+            record = json.loads(_record_line(1))
+            record.update((key, value) for key, value, _ in faults[k:])
+            path.write_text(_record_line(0) + "\n" + json.dumps(record) + "\n")
+            for reader in (bb.read_run_log, bb.tally_run_log):
+                with pytest.raises(SchemaError, match=rf"runs\.jsonl:2: {message}"):
+                    reader(path)
+
     def test_record_split_across_lines_rejected(self, tmp_path):
         # Joined, these two lines would decode as two whole records.
         first, second = _record_line(0), _record_line(1)
