@@ -112,9 +112,7 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
     coincidence rates.  Raises ZeroCoincidence when a setting pair has no
     coincidence mass to condition on.
     """
-    ka = 2 if q.scenario.outcomes_a.size == 3 else q.scenario.outcomes_a.size
-    kb = 2 if q.scenario.outcomes_b.size == 3 else q.scenario.outcomes_b.size
-    joint = q.p[:, :, :ka, :kb]
+    joint = q.p[:, :, :2, :2]  # the clicks: every alphabet begins +, -
     rates = joint.sum(axis=(2, 3))
     bad = np.argwhere(rates <= 1e-12)
     if bad.size:
@@ -124,29 +122,25 @@ def post_select(q: Behavior) -> tuple[Behavior, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=32)
-def _loophole_lp(scenario: Scenario, mode: ConstraintMode):
+def _loophole_lp(scenario: Scenario):
     """LP(u)'s rows for a binary scenario, on the three-outcome strategies of
     its no-click extension (never-click is the last), and their price: one
-    row per click-click cell (alpha, beta, a, b), then in strict mode the
-    click rows C_a (1 where f_a(alpha) != 2) and C_b, each stated as the
-    table whose values on the strategies are the row."""
+    row per click-click cell (alpha, beta, a, b), then the click rows C_a (1
+    where f_a(alpha) != 2) and C_b, each stated as the table whose values on
+    the strategies are the row.  Weak mode reads the click-click block."""
     sa, sb = scenario.settings_a, scenario.settings_b
     cells = np.eye(sa * sb * 9).reshape(sa, sb, 3, 3, -1)
-    tables = [cells[:, :, :2, :2].reshape(-1, cells.shape[-1])]
-    if mode == "strict":
-        clicks_a = np.zeros((sa, sa, sb, 3, 3))
-        clicks_a[range(sa), range(sa), 0, :2, :] = 1.0  # A clicks at alpha, read at beta = 0
-        clicks_b = np.zeros((sb, sa, sb, 3, 3))
-        clicks_b[range(sb), 0, range(sb), :, :2] = 1.0
-        tables += [clicks_a.reshape(sa, -1), clicks_b.reshape(sb, -1)]
-    tables = np.vstack(tables)
+    clicks_a = cells[:, 0, :2, :].sum(axis=(1, 2))  # A clicks at alpha, read at beta = 0
+    clicks_b = cells[0, :, :, :2].sum(axis=(1, 2))
+    tables = np.vstack([cells[:, :, :2, :2].reshape(-1, cells.shape[-1]), clicks_a, clicks_b])
     price = _table_price(scenario.with_no_click(), tables)
     return _priced_rows(price, len(tables)), price
 
 
 def _threshold_lp(target: Behavior, u: float, mode: ConstraintMode) -> lp.SimplexResult:
     """LP(u) of the module docstring on the cached loophole rows."""
-    rows, price = _loophole_lp(target.scenario, mode)
+    rows, price = _loophole_lp(target.scenario)
+    rows = rows[: target.p.size] if mode == "weak" else rows
     rhs = np.concatenate([u * target.p.ravel(), np.ones(len(rows) - target.p.size)])
     return lp.solve_standard_form(rows, rhs, np.ones(rows.shape[1]), feas_tol=DEFAULT_TOL, price=price)
 

@@ -190,9 +190,9 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     """The price y -> y @ A of LP rows that are table functionals on the
     strategies: row i holds the values of table ``tables[i]`` (flattened) on
     every strategy, or with ``tables=None`` row i is cell i (A is the vertex
-    matrix's transpose).  y @ A is then the values of the one table y @
-    tables, which with the table laid out as T[(alpha, a), (beta, b)] are
-    S_a T S_b' over the side factors: no m x n product.
+    matrix's transpose); a y of k entries prices the first k rows.  y @ A is
+    the values of the one table y @ tables, laid out as T[(alpha, a), (beta,
+    b)]: S_a T S_b' over the side factors, no m x n product.
     """
     side_a, side_b = _side_factors(scenario)
     side_b = side_b.T
@@ -203,16 +203,18 @@ def _table_price(scenario: Scenario, tables: np.ndarray | None = None):
     rows = None if tables is None else np.ascontiguousarray(tables[:, order])
 
     def price(y: np.ndarray) -> np.ndarray:
-        t = (y[order] if rows is None else y @ rows).reshape(layout)
+        t = (y[order] if rows is None else y @ rows[: y.size]).reshape(layout)
         return np.dot(np.dot(side_a, t), side_b).ravel()
 
     return price
 
 
 def _priced_rows(price, m: int) -> np.ndarray:
-    """The m LP rows that agree with ``price``, y -> y @ rows: row i is price(e_i).
-    Read-only and column-contiguous, as the simplex reads A."""
-    rows = np.array([price(e) for e in np.eye(m)], order="F")
+    """The m LP rows that agree with ``price``, y -> y @ rows: row i is price(e_i),
+    written in place.  Read-only and column-contiguous, as the simplex reads A."""
+    rows = np.empty((m, price(np.zeros(m)).size), order="F")
+    for i, e in enumerate(np.eye(m)):
+        rows[i] = price(e)
     rows.flags.writeable = False
     return rows
 

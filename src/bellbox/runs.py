@@ -146,12 +146,18 @@ class Tally:
         return self.counts.sum(axis=(2, 3))
 
 
-def tally(runs: RunLog) -> Tally:
-    """Count a run log's records per (alpha, beta, a, b) in its own scenario."""
+def _check_indices(runs: RunLog) -> None:
+    """Raise MixedScenario when a setting or outcome index falls outside the log's scenario."""
     sa, sb, ka, kb = runs.scenario.shape
     for values, top in ((runs.alpha, sa), (runs.beta, sb), (runs.a_index, ka), (runs.b_index, kb)):
         if values.size and (values.min() < 0 or values.max() >= top):
             raise MixedScenario("run log indices do not fit the scenario")
+
+
+def tally(runs: RunLog) -> Tally:
+    """Count a run log's records per (alpha, beta, a, b) in its own scenario."""
+    _check_indices(runs)
+    sa, sb, ka, kb = runs.scenario.shape
     flat = ((runs.alpha * sb + runs.beta) * ka + runs.a_index) * kb + runs.b_index
     counts = np.bincount(flat, minlength=sa * sb * ka * kb).reshape(runs.scenario.shape)
     return Tally(runs.scenario, counts)
@@ -243,8 +249,11 @@ def write_run_log(log: RunLog, path) -> None:
     """Write the log as JSON Lines, one compact ``json.dumps`` object per record.
 
     Records are formatted a chunk at a time from column slices; floats are
-    written as ``repr`` writes them, as ``json.dumps`` does.
+    written as ``repr`` writes them, as ``json.dumps`` does.  A setting or
+    outcome index outside the log's scenario raises MixedScenario, before the
+    file is opened.
     """
+    _check_indices(log)
     sym_a = np.array(log.scenario.outcomes_a.symbols)
     sym_b = np.array(log.scenario.outcomes_b.symbols)
     with open(path, "w", encoding="utf-8") as handle:

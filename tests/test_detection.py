@@ -102,6 +102,23 @@ class TestPostSelect:
                 assert np.abs(selected.p - behavior.p).max() <= 1e-12
                 np.testing.assert_allclose(rates, eta * eta, atol=1e-12)
 
+    def test_binary_input_unchanged(self):
+        behavior = random_behavior(np.random.default_rng(15), S3)
+        selected, rates = bb.post_select(behavior)
+        assert selected.scenario == S3
+        np.testing.assert_allclose(selected.p, behavior.p, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rates, 1.0, rtol=0.0, atol=1e-12)
+
+    def test_mixed_alphabets(self):
+        # A misses (three symbols), B always clicks (two symbols).
+        behavior = random_behavior(np.random.default_rng(16), S2)
+        q = bb.apply_fair_sampling(behavior, 0.6, 1.0)
+        mixed = bb.Scenario(2, 2, bb.Alphabet.PLUS_MINUS_NULL, bb.Alphabet.PLUS_MINUS)
+        selected, rates = bb.post_select(bb.Behavior(mixed, q.p[:, :, :, :2]))
+        assert selected.scenario == S2
+        np.testing.assert_allclose(selected.p, behavior.p, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rates, 0.6, rtol=0.0, atol=1e-12)
+
     def test_zero_coincidence(self):
         q = bb.apply_fair_sampling(bb.uniform_behavior(S3), 0.0, 0.0)
         with pytest.raises(ZeroCoincidence) as info:
@@ -305,10 +322,10 @@ def highs_strict_feasible(target: bb.Behavior, eta: float) -> bool:
 @pytest.mark.parametrize("settings", [(2, 2), (2, 3), (3, 2)])
 def test_click_rows_match_the_strategies(settings):
     scenario = bb.Scenario(*settings)
-    strict, strict_price = bb.detection._loophole_lp(scenario, "strict")
-    weak, weak_price = bb.detection._loophole_lp(scenario, "weak")
+    strict, strict_price = bb.detection._loophole_lp(scenario)
     strategies, matrix = vertex_data(scenario.with_no_click())
     cells = np.prod(settings) * 4
+    weak, weak_price = strict[:cells], strict_price  # the weak LP's rows and price
     np.testing.assert_array_equal(strict[cells:], click_rows(strategies, *settings))
     # The click-click rows are the vertex matrix's click-click columns, and
     # the weak rows are exactly those.
@@ -321,6 +338,31 @@ def test_click_rows_match_the_strategies(settings):
     # Never-click, the padding strategy, decodes last.
     never = bb.polytope._strategies(scenario.with_no_click(), [len(strategies) - 1])
     assert never == (bb.LocalStrategy((2,) * settings[0], (2,) * settings[1]),)
+
+
+def test_both_modes_share_one_row_set(monkeypatch):
+    # A weak and then a strict search cache one row set: the weak LP's
+    # matrix is a view of its click-click block, the strict LPs' the set.
+    target = tsirelson_target()
+    matrices = []
+    solve = lp.solve_standard_form
+
+    def spy(a_eq, *args, **kwargs):
+        matrices.append(a_eq)
+        return solve(a_eq, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_standard_form", spy)
+    bb.detection._loophole_lp.cache_clear()
+    bb.critical_efficiency(target, mode="weak")
+    bb.critical_efficiency(target, mode="strict")
+    assert bb.detection._loophole_lp.cache_info().currsize == 1
+    rows, _ = bb.detection._loophole_lp(target.scenario)
+    weak, weak_again, *strict = matrices  # the strict search starts from the weak LP
+    for matrix in (weak, weak_again):
+        assert matrix.shape == (target.p.size, rows.shape[1])
+        assert np.shares_memory(matrix, rows)
+        np.testing.assert_array_equal(matrix, rows[: target.p.size])
+    assert strict and all(matrix is rows for matrix in strict)
 
 
 class TestStrictThreshold:

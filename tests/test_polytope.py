@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -189,6 +190,19 @@ def test_strategy_values_match_the_vertex_matrix(scenario):
     for table in (rng.normal(size=scenario.shape), rng.integers(-3, 4, size=scenario.shape)):
         values = _table_price(scenario)(table.ravel())
         np.testing.assert_allclose(values, matrix @ table.ravel(), rtol=0.0, atol=1e-12)
+
+
+def test_rows_are_written_in_place():
+    # The binary 6x6 membership rows (144 x 4096) are written into the one
+    # array that holds them, so building them peaks near its size, not at
+    # twice it.  The cache is bypassed, so the build is fresh.
+    tracemalloc.start()
+    try:
+        rows, _, _ = _locality_lp.__wrapped__(bb.Scenario(6, 6), False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rows.nbytes
 
 
 def test_vertex_bounds_of_a_binary_9x10_functional():

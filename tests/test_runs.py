@@ -122,6 +122,14 @@ class TestTally:
         with pytest.raises(MixedScenario):
             bb.tally(one_run_log(S2, 2, 0, 0, 1))
 
+    @pytest.mark.parametrize("record", [(0, 0, -1, 1), (0, 0, 5, 1), (0, 0, 0, 2), (2, 0, 0, 1), (0, -1, 0, 1)],
+                             ids=["negative-a", "large-a", "large-b", "alpha", "negative-beta"])
+    def test_writer_refuses_indices_outside_scenario(self, tmp_path, record):
+        path = tmp_path / "runs.jsonl"
+        with pytest.raises(MixedScenario, match="run log indices do not fit the scenario"):
+            bb.write_run_log(one_run_log(S2, *record), path)
+        assert not path.exists()
+
     def test_totals_match_blocks(self):
         t = bb.tally(bb.simulate(bb.uniform_behavior(S3), 999, 2, GEOMETRY))
         np.testing.assert_array_equal(t.totals, t.counts.sum(axis=(2, 3)))
