@@ -13,13 +13,17 @@ is not promised.  Draw order per simulation: alpha array, beta array,
 outcome uniforms, choice-time uniforms for A, then for B.
 
 Run logs are JSON Lines files, written and parsed a chunk of records at a
-time.  ``tally_run_log`` (behind the CLI's ``estimate`` and ``audit``)
-counts a log in memory that does not grow with its length;
-``read_run_log`` loads the whole log.  Both reject records that break the
-time order above.  A chunk whose every line is in the writer's own form
-is read by a vectorized byte automaton, with no dict per record; any
-other chunk is read record by record through ``json``, which alone
-defines a valid log and words every error, naming the first faulty line.
+time.  The writer formats numbers in numpy: a time's digits are the
+Schubfach algorithm's shortest round-trip decimal, laid out exactly as
+``repr`` lays them out, and zeros, subnormals, NaN and the infinities go
+through ``repr`` itself (see ``numtext``).  ``tally_run_log`` (behind
+the CLI's ``estimate`` and ``audit``) counts a log in memory that does not
+grow with its length; ``read_run_log`` loads the whole log.  Both reject
+records that break the time order above.  A chunk whose every line is in
+the writer's own form is read by a vectorized byte automaton, with no dict
+per record; any other chunk is read record by record through ``json``,
+which alone defines a valid log and words every error, naming the first
+faulty line.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import (
 from .model import Alphabet, Behavior, BellFunctional, Scenario, evaluate_functional
 
 SPEED_OF_LIGHT = 299792458.0
+_DRAW_RECORDS = 1 << 16  # records whose outcomes simulate draws per step
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,19 @@ def simulate(b: Behavior, n_runs: int, seed: int, g: Geometry, stream: int = 0) 
 
     cum = b.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
     cum[:, :, -1] = 1.0  # guard the top edge against rounding
-    flat = (u[:, None] >= cum[alpha, beta]).sum(axis=1)
+    a_index, b_index = np.empty(n_runs, np.int64), np.empty(n_runs, np.int64)
+    for start in range(0, n_runs, _DRAW_RECORDS):  # a slice at a time bounds the (n, ka * kb) gather
+        part = slice(start, start + _DRAW_RECORDS)
+        flat = (u[part, None] >= cum[alpha[part], beta[part]]).sum(axis=1)
+        a_index[part], b_index[part] = flat // kb, flat % kb
+    del u  # freed before the last two columns are made, which sets simulate's peak memory
     return RunLog(
         scenario=b.scenario,
         index=np.arange(n_runs),
         alpha=alpha,
         beta=beta,
-        a_index=flat // kb,
-        b_index=flat % kb,
+        a_index=a_index,
+        b_index=b_index,
         t_choice_a=tca,
         t_choice_b=tcb,
         t_report=np.full(n_runs, float(g.T)),
@@ -231,15 +241,17 @@ def randomness_audit(t: Tally) -> RandomnessAudit:
 # The one statement of a record's form: its keys, and which hold integers, are read from it.
 _RECORD_LINE = '{"i":%d,"alpha":%d,"beta":%d,"a":"%s","b":"%s","tca":%s,"tcb":%s,"tr":%s}\n'
 _RECORD_KEYS = tuple(re.findall(r'"(\w+)":', _RECORD_LINE))
+# The literal text around the slots, which the writer fills and the automaton reads.
+_RECORD_PIECES = re.split("%[ds]", _RECORD_LINE)
 # Each number field's column dtype, read from its slot: %d an integer, a bare %s a time.
 _NUMBER_DTYPES = {key: np.int64 if slot == "d" else np.float64
                   for key, slot in re.findall(r'"(\w+)":%(\w)', _RECORD_LINE)}
 # Each field's column dtype, in record order; the symbols a and b are read as int64 codes.
 _COLUMN_DTYPES = {key: _NUMBER_DTYPES.get(key, np.int64) for key in _RECORD_KEYS}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
 _SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
 _CHUNK_RECORDS = 1 << 14  # records formatted or parsed per step
+_JOIN_RECORDS = 1 << 12  # records the writer lays out per block
 # Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
 # name; it caps the count array of a read log at 4.7 MB.
 SETTING_PAIR_CAP = 1 << 16
@@ -248,41 +260,60 @@ SETTING_PAIR_CAP = 1 << 16
 def write_run_log(log: RunLog, path) -> None:
     """Write the log as JSON Lines, one compact ``json.dumps`` object per record.
 
-    Records are formatted a chunk at a time from column slices; floats are
-    written as ``repr`` writes them, as ``json.dumps`` does.  A setting or
-    outcome index outside the log's scenario raises MixedScenario, before the
-    file is opened.
+    Records are formatted a chunk at a time from column slices, in numpy:
+    each field is a few 8-byte words of text, NUL-padded, laid between the
+    literal text of ``_RECORD_LINE`` in a block whose bytes, less their
+    NULs, are one write.  Times are written as ``repr`` writes them, as
+    ``json.dumps`` does: their digits come from the Schubfach algorithm,
+    and zeros, subnormals, NaN and the infinities go through ``repr``
+    itself.  A setting or outcome index outside the log's scenario raises
+    MixedScenario, before the file is opened.
     """
+    from . import numtext  # on the first write: a process that only reads never loads the formatters
+
     _check_indices(log)
-    sym_a = np.array(log.scenario.outcomes_a.symbols)
-    sym_b = np.array(log.scenario.outcomes_b.symbols)
-    with open(path, "w", encoding="utf-8") as handle:
+    sides = (log.scenario.outcomes_a, log.scenario.outcomes_b)
+    symbols_a, symbols_b = (numtext.text_words(side.symbols)[:, 0] for side in sides)
+    with open(path, "wb") as handle:
         for start in range(0, len(log), _CHUNK_RECORDS):
             part = slice(start, start + _CHUNK_RECORDS)
             # Report times repeat (simulate writes one value), so each distinct one is formatted
             # once; they are told apart by their bits, which keeps 0.0 and -0.0 apart.
             report = np.asarray(log.t_report[part], dtype=np.float64)
             bits, inverse = np.unique(report.view(np.int64), return_inverse=True)
-            report_texts = _json_floats(bits.view(np.float64))
-            rows = zip(
-                log.index[part].tolist(),
-                log.alpha[part].tolist(),
-                log.beta[part].tolist(),
-                sym_a[log.a_index[part]].tolist(),
-                sym_b[log.b_index[part]].tolist(),
-                _json_floats(log.t_choice_a[part]),
-                _json_floats(log.t_choice_b[part]),
-                [report_texts[k] for k in inverse.tolist()],
-            )
-            handle.write("".join([_RECORD_LINE % row for row in rows]))
+            handle.writelines(_join_fields((  # held by no name, so freed before the next chunk's
+                numtext.integer_words(log.index[part]),
+                numtext.integer_words(log.alpha[part]),
+                numtext.integer_words(log.beta[part]),
+                symbols_a.take(log.a_index[part])[None],
+                symbols_b.take(log.b_index[part])[None],
+                numtext.float_words(log.t_choice_a[part]),
+                numtext.float_words(log.t_choice_b[part]),
+                numtext.float_words(bits.view(np.float64)).take(inverse.ravel(), axis=1),
+            )))
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    values = np.asarray(values, dtype=np.float64)
-    texts = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
-    return texts
+def _join_fields(fields: tuple[np.ndarray, ...]) -> Iterator[bytearray]:
+    """The records whose fields are ``fields``, each (words, n) uint64 text, without their NUL bytes.
+
+    The records are laid out ``_JOIN_RECORDS`` at a time, which bounds the block's memory.
+    """
+    pieces = [piece.encode("ascii") for piece in _RECORD_PIECES]
+    row, starts = bytearray(pieces[0]), []
+    for field, piece in zip(fields, pieces[1:], strict=True):
+        starts.append(len(row))
+        row += bytes(8 * len(field)) + piece
+    records = fields[0].shape[1]
+    for first in range(0, records, _JOIN_RECORDS):
+        part = slice(first, min(first + _JOIN_RECORDS, records))
+        text = bytearray((part.stop - first) * len(row))
+        block = np.frombuffer(text, np.uint8).reshape(-1, len(row))
+        block[:] = np.frombuffer(row, np.uint8)
+        for field, start in zip(fields, starts):
+            slots = block[:, start:start + 8 * len(field)].view("<u8")
+            for j, words in enumerate(field):
+                slots[:, j] = words[part]
+        yield text.translate(None, b"\0")
 
 
 def read_run_log(path) -> RunLog:
@@ -506,7 +537,7 @@ def _writer_form_table() -> np.ndarray:
         return [state]
 
     # The literal text of _RECORD_LINE around its slots, and each slot's value grammar.
-    *pieces, close = re.split("%[ds]", _RECORD_LINE)
+    *pieces, close = _RECORD_PIECES
     values = (functools.partial(integer, signed=True), integer, integer, symbol, symbol,
               choice_time, choice_time, report_time)
     ends = [_START]

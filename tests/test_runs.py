@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 import bellbox as bb
-from bellbox import runs
+from bellbox import numtext, runs
 from bellbox.errors import BellBoxError, EmptySettingPair, MixedScenario, ScenarioMismatch, SchemaError, SizeLimit
 
 S3 = bb.Scenario(3, 3)
@@ -660,3 +660,72 @@ class TestWriterForm:
         back = bb.read_run_log(path)
         for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
             np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
+
+
+class TestSlicedDraw:
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_matches_the_whole_gather(self, monkeypatch, ternary):
+        # The outcomes drawn a slice at a time equal the (n, ka * kb) comparison made at once.
+        monkeypatch.setattr(runs, "_DRAW_RECORDS", 7)
+        behavior = bb.behavior_from_state(bb.SINGLET, bb.MeasurementPlan.from_degrees([0, 50, 100], [20, 70]))
+        if ternary:
+            behavior = bb.apply_fair_sampling(behavior, 0.6, 0.7)
+        sa, sb, ka, kb = behavior.scenario.shape
+        log = bb.simulate(behavior, 100, 8, GEOMETRY)
+        rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(0,)))
+        alpha, beta, u = rng.integers(0, sa, size=100), rng.integers(0, sb, size=100), rng.random(100)
+        cum = behavior.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
+        cum[:, :, -1] = 1.0
+        flat = (u[:, None] >= cum[alpha, beta]).sum(axis=1)
+        np.testing.assert_array_equal(log.a_index, flat // kb)
+        np.testing.assert_array_equal(log.b_index, flat % kb)
+
+
+def _word_texts(words: np.ndarray) -> list[str]:
+    """The texts held by a formatter's (words, n) uint64 words, NUL bytes dropped."""
+    rows = np.ascontiguousarray(words.T).astype("<u8").view(np.uint8)
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
+
+
+def _double_corpus() -> np.ndarray:
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    decade_edges = np.array([1e-5, 1e-4, 1e15, 9.999999999999999e15, 1e16, 1.7976931348623157e308])
+    return np.concatenate([
+        np.random.default_rng(11).integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).view(np.float64),
+        powers_of_two, np.nextafter(powers_of_two, 0.0), np.nextafter(powers_of_two, np.inf),
+        np.arange(1, 1024, dtype=np.uint64).view(np.float64),  # subnormals
+        float(2**53) + np.arange(-8.0, 9.0),
+        decade_edges, -decade_edges, np.nextafter(decade_edges, 0.0), np.nextafter(decade_edges[:-1], np.inf),
+        [0.0, -0.0, np.nan, np.inf, -np.inf],
+    ])
+
+
+_INT64_EXTREMES = np.array(
+    [-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 0, 1, -1, 9999, 10000, -9999, -10000, 10**18, -(10**18)], np.int64)
+
+
+class TestNumberText:
+    def test_doubles_as_json_dumps_writes_them(self):
+        values = _double_corpus()
+        assert _word_texts(numtext.float_words(values)) == [json.dumps(v) for v in values.tolist()]
+
+    def test_integers_as_str_writes_them(self):
+        values = np.concatenate((_INT64_EXTREMES, np.random.default_rng(12).integers(-(2**63), 2**63 - 1, 1000)))
+        assert _word_texts(numtext.integer_words(values)) == [str(v) for v in values.tolist()]
+        assert _word_texts(numtext.integer_words(np.zeros(3, np.int64))) == ["0"] * 3
+
+    @pytest.mark.parametrize("chunks", [(3, 2), None])
+    def test_writer_matches_reference_on_extreme_numbers(self, tmp_path, monkeypatch, chunks):
+        if chunks is not None:
+            monkeypatch.setattr(runs, "_CHUNK_RECORDS", chunks[0])
+            monkeypatch.setattr(runs, "_JOIN_RECORDS", chunks[1])
+        times = _double_corpus()[::97]
+        n = times.size
+        log = bb.simulate(bb.apply_fair_sampling(bb.uniform_behavior(S3), 0.6, 0.7), n, 13, GEOMETRY)
+        log = bb.RunLog(
+            log.scenario, np.resize(_INT64_EXTREMES, n), log.alpha, log.beta, log.a_index, log.b_index,
+            times, -times, np.roll(times, 1),
+        )
+        bb.write_run_log(log, tmp_path / "chunked.jsonl")
+        _reference_write_run_log(log, tmp_path / "reference.jsonl")
+        assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
