@@ -12,24 +12,24 @@ record stream bit-for-bit within one build; cross-language bit-exactness
 is not promised.  Draw order per simulation: alpha array, beta array,
 outcome uniforms, choice-time uniforms for A, then for B.
 
-Run logs are JSON Lines files, written and parsed a chunk of records at a
-time.  The writer formats numbers in numpy: a time's digits are the
-Schubfach algorithm's shortest round-trip decimal, laid out exactly as
-``repr`` lays them out, and zeros, subnormals, NaN and the infinities go
-through ``repr`` itself (see ``numtext``).  ``tally_run_log`` (behind
-the CLI's ``estimate`` and ``audit``) counts a log in memory that does not
-grow with its length; ``read_run_log`` loads the whole log.  Both reject
-records that break the time order above.  A chunk whose every line is in
-the writer's own form is read by a vectorized byte automaton, with no dict
-per record; any other chunk is read record by record through ``json``,
-which alone defines a valid log and words every error, naming the first
-faulty line.
+Run logs are JSON Lines files.  The writer formats a chunk of records at
+a time in numpy: a time's digits are the Schubfach algorithm's shortest
+round-trip decimal, laid out exactly as ``repr`` lays them out, and zeros,
+subnormals, NaN and the infinities go through ``repr`` itself (see
+``numtext``).  ``tally_run_log`` (behind the CLI's ``estimate`` and
+``audit``) counts a log in memory that does not grow with its length;
+``read_run_log`` loads the whole log.  Both read the file as bytes, a block
+at a time into one reused buffer, with line ends as text mode reads them,
+and both reject records that break the time order above.  A group of lines
+whose every line is in the writer's own form is read by a vectorized byte
+automaton, with no dict per record; a group it declines is decoded as
+strict UTF-8 and read record by record through ``json``, which alone
+defines a valid log and words every error, naming the first faulty line.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import re
@@ -250,7 +250,8 @@ _NUMBER_DTYPES = {key: np.int64 if slot == "d" else np.float64
 _COLUMN_DTYPES = {key: _NUMBER_DTYPES.get(key, np.int64) for key in _RECORD_KEYS}
 # The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
 _SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
-_CHUNK_RECORDS = 1 << 14  # records formatted or parsed per step
+_CHUNK_RECORDS = 1 << 14  # records the writer formats per step
+_READ_BYTES = 1 << 20  # bytes the reader reads per block; a longer line grows its buffer
 _JOIN_RECORDS = 1 << 12  # records the writer lays out per block
 # Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
 # name; it caps the count array of a read log at 4.7 MB.
@@ -324,9 +325,10 @@ def read_run_log(path) -> RunLog:
     A log that names more than ``SETTING_PAIR_CAP`` setting pairs raises
     SizeLimit.
     Records that break the protocol's time order (choices before t=0,
-    report not before t=0) are schema errors.  The whole log is held as
-    columns; ``tally_run_log``, which the CLI's ``estimate`` and ``audit``
-    use, counts a log in bounded memory instead.
+    report not before t=0) are schema errors.  The file is read as bytes,
+    a block at a time, as ``tally_run_log`` reads it, but the whole log is
+    held as columns; ``tally_run_log``, which the CLI's ``estimate`` and
+    ``audit`` use, counts a log in bounded memory instead.
     """
     columns = [np.concatenate(parts) for parts in zip(*_parse_run_log(path))]
     if not columns:
@@ -338,15 +340,19 @@ def read_run_log(path) -> RunLog:
 
 
 def tally_run_log(path) -> Tally:
-    """Count a JSON Lines run log chunk by chunk, never holding the whole log.
+    """Count a JSON Lines run log block by block, never holding the whole log.
 
     Equals ``tally(read_run_log(path))``, with the same checks and the same
-    scenario inference; memory does not grow with the number of runs.
+    scenario inference.  Memory does not grow with the number of runs: one
+    reused ``_READ_BYTES`` buffer (larger only to hold a longer line), its
+    line ends, and a walk's gathered copy of at most ``_WALK_LINES`` lines
+    (see ``_parse_run_log``).
     """
     counts = np.zeros((0, 0, 3, 3), dtype=np.int64)  # (alpha, beta, a, b) over all three symbols
     for _, alpha, beta, a_code, b_code, _, _, _ in _parse_run_log(path, full=False):
         sa, sb = _setting_grid(path, counts.shape[:2], alpha, beta)
-        counts = np.pad(counts, ((0, sa - counts.shape[0]), (0, sb - counts.shape[1]), (0, 0), (0, 0)))
+        if (sa, sb) != counts.shape[:2]:
+            counts = np.pad(counts, ((0, sa - counts.shape[0]), (0, sb - counts.shape[1]), (0, 0), (0, 0)))
         flat = ((alpha * sb + beta) * 3 + a_code) * 3 + b_code
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
     if not counts.size:
@@ -374,34 +380,104 @@ def _infer_scenario(settings_a: int, settings_b: int, null_a: bool, null_b: bool
 
 
 def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None, ...]]:
-    """Yield validated record columns, in ``_RECORD_KEYS`` order, per chunk of lines.
+    """Yield validated record columns, in ``_RECORD_KEYS`` order, per group of lines.
 
-    Symbols come as their ``_SYMBOL_CODES``.  Blank lines are skipped.
-    Beyond the schema, each record must keep the protocol's time order:
-    both choices end before t=0 and the report is not before t=0.
-    A chunk whose every line is in the writer's own form is read by
-    ``_writer_form_columns``, and its index and time columns are None
-    unless ``full``; any other chunk is read record by record through
-    ``_json_record``, which alone defines a valid log and words every
-    error, naming the first faulty line.
+    The file is read in binary mode, ``_READ_BYTES`` at a time, into one
+    reused buffer.  Each block is cut after its last line end and the rest
+    carried over to the next read; a line longer than the buffer doubles
+    it.  Line ends are read as text mode reads them: each ``\\r\\n`` and
+    lone ``\\r`` becomes ``\\n`` in place.  Symbols come as their
+    ``_SYMBOL_CODES``.  Blank lines are skipped.  Beyond the schema, each
+    record must keep the protocol's time order: both choices end before
+    t=0 and the report is not before t=0.  A block's lines go in groups of
+    at most ``_WALK_LINES``.  A group whose every line is in the writer's
+    own form is read by ``_writer_form_columns``, and its index and time
+    columns are None unless ``full``.  Any other group is read line by line
+    through ``_json_columns``: strict UTF-8, then ``_json_record``, which
+    alone defines a valid log and words every error, naming the first
+    faulty line.
+
+    Memory does not grow with the log: the buffer (``_READ_BYTES`` and
+    ``_LINE_MAX + 1`` bytes of padding, or up to twice the longest line),
+    a block's line ends (8 bytes a line; a read adds at most
+    ``_READ_BYTES`` bytes and the carried-over tail holds no line end, so
+    8 MiB for a block of blank lines), and a group's gathered copy of at
+    most ``_WALK_LINES * (_LINE_MAX + 1)`` bytes (4.2 MB), held twice while
+    it is made.  With lines under 1 MiB, that is under 20 MiB.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        first_lineno = 1
-        while raw := list(itertools.islice(handle, _CHUNK_RECORDS)):
-            columns = _writer_form_columns(raw, full)
-            if columns is None:
-                records = []
-                for lineno, line in enumerate(map(str.strip, raw), first_lineno):
-                    if line:
-                        try:
-                            records.append(_json_record(line))
-                        except ValueError as fault:
-                            raise SchemaError(f"{path}:{lineno}: {fault}") from fault
-                if records:
-                    columns = list(map(np.array, zip(*records), _COLUMN_DTYPES.values()))
-            if columns is not None:
-                yield columns
-            first_lineno += len(raw)
+    size = _READ_BYTES
+    data = np.empty(size + _LINE_MAX + 1, np.uint8)  # bytes past the read ones pad the automaton's gather
+    held, lineno = 0, 1
+    with open(path, "rb") as handle:
+        while True:
+            if held == size:  # a full buffer with no line end: double it
+                grown = np.empty(2 * size + _LINE_MAX + 1, np.uint8)
+                grown[:held] = data[:held]
+                data, size = grown, 2 * size
+            filled = held + handle.readinto(data[held:min(size, held + _READ_BYTES)])
+            last = filled == held
+            fresh = max(held - 1, 0)  # the carried-over tail holds no line end but perhaps a final \r
+            if (data[fresh:filled] == ord("\r")).any():
+                filled = _unify_line_ends(data, filled, last)
+            if last and filled and data[filled - 1] != ord("\n"):  # the last line may have no newline
+                data[filled] = ord("\n")
+                filled += 1
+            ends = np.flatnonzero(data[fresh:filled] == ord("\n")) + fresh
+            for first in range(0, ends.size, _WALK_LINES):
+                group = ends[first:first + _WALK_LINES]
+                starts = np.concatenate(([ends[first - 1] + 1 if first else 0], group[:-1] + 1))
+                columns = _writer_form_columns(data, starts, group, full)
+                if columns is None:
+                    lines = data[starts[0]:group[-1]].tobytes().split(b"\n")
+                    columns = _json_columns(path, lines, lineno + first)
+                if columns is not None:
+                    yield columns
+            if last:
+                return
+            lineno += ends.size
+            cut = int(ends[-1]) + 1 if ends.size else 0
+            held = filled - cut
+            data[:held] = data[cut:filled]
+
+
+def _unify_line_ends(data: np.ndarray, filled: int, last: bool) -> int:
+    """Turn each ``\\r\\n`` and lone ``\\r`` of ``data[:filled]`` into ``\\n`` in place; return the new length.
+
+    A ``\\r`` that ends the bytes read stays, unless the file ends there:
+    its ``\\n`` may come with the next read.
+    """
+    text = data[:filled]
+    returns = np.flatnonzero(text == ord("\r"))
+    paired = text.take(returns + 1, mode="clip") == ord("\n")  # a final \r reads itself
+    lone = returns[~paired]
+    if not last and lone.size and lone[-1] == filled - 1:
+        lone = lone[:-1]
+    text[lone] = ord("\n")
+    kept = np.delete(text, returns[paired])
+    data[:kept.size] = kept
+    return kept.size
+
+
+def _json_columns(path, lines: list[bytes], first_lineno: int) -> list[np.ndarray] | None:
+    """The record columns of ``lines`` through ``_json_record``, or None if all are blank.
+
+    Each line that is not empty is decoded as strict UTF-8; the first line
+    that is not UTF-8 or not a valid record raises SchemaError naming it.
+    """
+    records = []
+    for lineno, raw in enumerate(lines, first_lineno):
+        if not raw:
+            continue
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as fault:
+            raise SchemaError(f"{path}:{lineno}: not valid UTF-8: {fault.reason} at byte {fault.start + 1}") from fault
+        if line:
+            try:
+                records.append(_json_record(line))
+            except ValueError as fault:
+                raise SchemaError(f"{path}:{lineno}: {fault}") from fault
+    return list(map(np.array, zip(*records), _COLUMN_DTYPES.values())) if records else None
 
 
 def _json_record(line: str) -> tuple:
@@ -443,7 +519,7 @@ def _json_record(line: str) -> tuple:
 
 
 # The writer's own record form, read without building a dict per record.  One
-# table of a deterministic automaton over bytes walks every line of a chunk in
+# table of a deterministic automaton over bytes walks every line of a group in
 # lockstep (Langdale & Lemire, "Parsing gigabytes of JSON per second", 2019, in
 # numpy).  It accepts a line exactly when it is ``_RECORD_LINE`` with no
 # whitespace, integers of at most 18 digits, setting indices with no sign,
@@ -456,6 +532,7 @@ def _json_record(line: str) -> tuple:
 # -99 or more no choice time underflows to -0.0.
 
 _LINE_MAX = 256  # longest line, in bytes without its newline, that the automaton reads
+_WALK_LINES = 1 << 14  # most lines the automaton walks at once, which bounds its gathered copy
 _DIGITS, _NONZERO = "0123456789", "123456789"
 _ACCEPT, _START = 1, 2  # state 0 rejects every byte
 
@@ -551,42 +628,51 @@ def _writer_form_table() -> np.ndarray:
 
 _SYMBOL_BYTE_CODES = np.zeros(256, np.int64)
 _SYMBOL_BYTE_CODES[[ord(symbol) for symbol in _SYMBOL_CODES]] = list(_SYMBOL_CODES.values())
+# Where each value lies, read from _RECORD_PIECES: it starts _SLOT_STARTS[k] bytes past the colon
+# of its key and ends _SLOT_ENDS[k] bytes before the colon of the next key, or the line's newline.
+_SLOT_STARTS = [len(piece) - piece.index(":") for piece in _RECORD_PIECES[:-1]]
+_SLOT_ENDS = [piece.index(":") for piece in _RECORD_PIECES[1:-1]] + [len(_RECORD_PIECES[-1]) - 1]
 
 
-def _writer_form_columns(raw: list[str], full: bool) -> tuple[np.ndarray | None, ...] | None:
-    """A chunk's record columns if every line of it is in the writer's own form, else None.
+def _writer_form_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                         full: bool) -> tuple[np.ndarray | None, ...] | None:
+    """The record columns of the lines ``data[starts:ends]`` if every one is in the writer's own form, else None.
 
-    The index and time columns are None unless ``full``.  Each value lies
-    between the colon after its key and the next comma, or the closing brace
-    for ``tr``: an accepted line holds 8 colons and 7 commas, alternating,
-    and its values hold neither.
+    ``ends`` holds each line's newline, and ``data`` runs on at least
+    ``_LINE_MAX`` bytes past the last one.  The automaton walks a
+    position-major copy of the lines, one byte of every line per step,
+    updating its states in place.  The index and time columns are None
+    unless ``full``.  An accepted line holds 8 colons, one after each key
+    and none in a value, so each value's bounds lie at fixed offsets from
+    the colon of its key and that of the next key, or the newline for ``tr``.
     """
-    text = "".join(raw)
-    if not text.endswith("\n"):  # the last line of a file may have no newline
-        text += "\n"
-    data = np.frombuffer(text.encode("utf-8"), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
     width = int((ends - starts).max()) + 1
     if width > _LINE_MAX + 1:
         return None
-    padded = np.concatenate((data, np.zeros(width, np.uint8)))
     table = _writer_form_table()
+    cells = np.empty((width, starts.size), np.uint8)
+    np.copyto(cells.T, sliding_window_view(data, width)[starts])
     state = np.full(starts.size, _START << 8, np.uint16)
-    for column in sliding_window_view(padded, width)[starts].T:
-        state = table.take(state + column)
+    for column in cells:
+        np.add(state, column, out=state)
+        table.take(state, out=state, mode="clip")  # never clips: a state plus a byte is inside the table
     if (state != _ACCEPT << 8).any():
         return None
-    marks = np.flatnonzero((data == ord(":")) | (data == ord(","))).reshape(-1, 2 * len(_RECORD_KEYS) - 1)
-    first = marks[:, 0::2] + 1
-    stop = np.column_stack((marks[:, 1::2], ends - 1))
-    alpha, beta = (_slot_integers(padded, first[:, k], stop[:, k]) for k in (1, 2))
-    a_code, b_code = (_SYMBOL_BYTE_CODES[padded[first[:, k] + 1]] for k in (3, 4))
+    text = data[starts[0]:]
+    colons = np.flatnonzero(text[:ends[-1] - starts[0]] == ord(":")).reshape(-1, len(_RECORD_KEYS))
+    marks = [*colons.T, ends - starts[0]]
+
+    def slot(k):
+        return marks[k] + _SLOT_STARTS[k], marks[k + 1] - _SLOT_ENDS[k]
+
+    alpha, beta = (_slot_integers(text, *slot(k)) for k in (1, 2))
+    a_code, b_code = (_SYMBOL_BYTE_CODES[text[marks[k] + _SLOT_STARTS[k]]] for k in (3, 4))
     if not full:
         return None, alpha, beta, a_code, b_code, None, None, None
-    negative = padded[first[:, 0]] == ord("-")
-    index = _slot_integers(padded, first[:, 0] + negative, stop[:, 0])
-    tca, tcb, tr = (_slot_floats(padded, first[:, k], stop[:, k]) for k in (5, 6, 7))
+    first, stop = slot(0)
+    negative = text[first] == ord("-")
+    index = _slot_integers(text, first + negative, stop)
+    tca, tcb, tr = (_slot_floats(text, *slot(k)) for k in (5, 6, 7))
     return np.where(negative, -index, index), alpha, beta, a_code, b_code, tca, tcb, tr
 
 

@@ -15,7 +15,7 @@ files, so two source trees compare with one ``diff -r``:
 The list covers every subcommand: singlet and product-state behaviors at
 2x2 to 5x5 and a 9x10 one, classify on each, inequality bounds, efficiency in
 both modes with ``--model-out``, simulate, estimate and audit at 2e5 runs,
-estimate and audit on two small logs in a form simulate never writes, and
+estimate and audit on four small logs in a form simulate never writes, and
 bad input.  The script exits 1 when a command's exit code is not the one
 listed for it, so it doubles as a smoke test.  pytest does not collect it.
 """
@@ -43,11 +43,14 @@ def _cmd(code: int, name: str, *argv: str) -> tuple[int, str, list[str]]:
 
 
 def _write_logs(out: Path) -> None:
-    """Write two run logs that only the reader's ``json`` path reads: simulate writes neither form.
+    """Write four run logs in forms simulate never writes.
 
     ``respaced.jsonl`` holds valid records re-spaced by ``json.dumps``'
     default separators.  ``two-faults.jsonl`` has a bad symbol on line 2 and
-    a string alpha on line 4, so its error names line 2.
+    a string alpha on line 4, so its error names line 2.  ``crlf.jsonl``
+    holds writer-form records with ``\\r\\n`` line ends, which the reader
+    reads as text mode does.  ``not-utf8.jsonl`` has a ``0xff`` byte on
+    line 3, so its error names line 3.
     """
     records = [{"i": k, "alpha": k % 2, "beta": k // 2 % 2, "a": "+-"[k // 4 % 2], "b": "-+0"[k % 3],
                 "tca": -1e-07, "tcb": -2.5e-07, "tr": 1e-06} for k in range(12)]
@@ -57,6 +60,10 @@ def _write_logs(out: Path) -> None:
     faulty[3] = {**faulty[3], "alpha": "1"}
     (out / "two-faults.jsonl").write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in faulty),
                                           encoding="utf-8")
+    compact = [json.dumps(r, separators=(",", ":")).encode() for r in records]
+    (out / "crlf.jsonl").write_bytes(b"".join(line + b"\r\n" for line in compact))
+    compact[2] = compact[2].replace(b'"a":"+"', b'"a":"\xff"')
+    (out / "not-utf8.jsonl").write_bytes(b"".join(line + b"\n" for line in compact))
 
 
 # (expected exit code, name, arguments).  The 4x4 strict search at turn 0
@@ -123,6 +130,8 @@ COMMANDS += [
     _cmd(2, "simulate-bad-geometry", "simulate", "--behavior", "chsh.json", "--runs", "10", "--seed", "1",
          "--geometry", "400", "--out", "bad.jsonl"),
     _cmd(2, "unknown-subcommand", "transmogrify"),
+    _cmd(0, "estimate-crlf", "estimate", "--runs", "crlf.jsonl", "--out", "estimate-crlf.json"),
+    _cmd(2, "audit-not-utf8", "audit", "--runs", "not-utf8.jsonl", "--geometry", "400,1e-6"),
 ]
 
 

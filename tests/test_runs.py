@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,7 @@ class TestRunLogStreaming:
     @pytest.fixture()
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(runs, "_CHUNK_RECORDS", 3)
+        _small_reads(monkeypatch)
 
     @pytest.mark.parametrize("ternary", [False, True])
     @pytest.mark.parametrize("chunk", [3, None])
@@ -414,6 +416,7 @@ class TestRunLogStreaming:
         whole = bb.read_run_log(path).scenario
         assert whole == bb.Scenario(4, 5, bb.Alphabet.PLUS_MINUS_NULL, bb.Alphabet.PLUS_MINUS_NULL)
         monkeypatch.setattr(runs, "_CHUNK_RECORDS", 3)
+        _small_reads(monkeypatch)
         assert bb.read_run_log(path).scenario == whole
         assert bb.tally_run_log(path).scenario == whole
 
@@ -515,8 +518,26 @@ def _outcome(path) -> list:
 
 
 def _json_only(monkeypatch) -> None:
-    """Make the writer-form recognizer decline every chunk, so only the json path reads."""
-    monkeypatch.setattr(runs, "_writer_form_columns", lambda raw, full: None)
+    """Make the writer-form recognizer decline every group of lines, so only the json path reads."""
+    monkeypatch.setattr(runs, "_writer_form_columns", lambda data, starts, ends, full: None)
+
+
+def _small_reads(monkeypatch, block: int = 64, lines: int = 3) -> None:
+    """Make the reader read ``block`` bytes at a time (below one record) and walk ``lines`` lines at a time."""
+    monkeypatch.setattr(runs, "_READ_BYTES", block)
+    monkeypatch.setattr(runs, "_WALK_LINES", lines)
+
+
+def _no_json_columns(*args):
+    raise AssertionError("a group of lines took the json path")
+
+
+def _writer_form(text: str, full: bool = True):
+    """What ``_writer_form_columns`` makes of ``text``, whole lines, as the reader hands them over."""
+    lines = text.encode()
+    data = np.frombuffer(lines + bytes(runs._LINE_MAX + 1), np.uint8)
+    ends = np.flatnonzero(data[:len(lines)] == ord("\n"))
+    return runs._writer_form_columns(data, np.concatenate(([0], ends[:-1] + 1)), ends, full)
 
 
 # Writer-form lines: binary and ternary symbols, multi-digit and negative
@@ -551,7 +572,7 @@ class TestWriterForm:
 
     @pytest.mark.parametrize("line", _CANONICAL_LINES)
     def test_canonical_lines_take_the_vectorized_path(self, tmp_path, monkeypatch, line):
-        assert runs._writer_form_columns([line + "\n"], True) is not None
+        assert _writer_form(line + "\n") is not None
         path = tmp_path / "runs.jsonl"
         path.write_text(_record_line(0) + "\n" + line + "\n")
         fast = _outcome(path)
@@ -570,7 +591,7 @@ class TestWriterForm:
         for mutant in mutants:
             path.write_text(_record_line(0) + "\n" + mutant + "\n")
             fast.append(_outcome(path))
-        accepted = sum(runs._writer_form_columns([mutant + "\n"], True) is not None for mutant in mutants)
+        accepted = sum(_writer_form(mutant + "\n") is not None for mutant in mutants)
         assert accepted > 10  # many mutants stay in writer form, so both sides are exercised
         _json_only(monkeypatch)
         for mutant, expected in zip(mutants, fast):
@@ -632,19 +653,22 @@ class TestWriterForm:
             path.write_bytes((ending.join(lines) + ending).encode())
         reference = tmp_path / "reference.jsonl"
         reference.write_text("\n".join(lines) + "\n")
-        assert runs._writer_form_columns([line + "\n" for line in lines[:-1]] + lines[-1:], True) is not None
-        assert _outcome(path) == _outcome(reference)
+        assert _writer_form("".join(line + "\n" for line in lines)) is not None
+        with monkeypatch.context() as patched:  # the file itself is read without the json path
+            patched.setattr(runs, "_json_columns", _no_json_columns)
+            assert _outcome(path) == _outcome(reference)
         _json_only(monkeypatch)
         assert _outcome(path) == _outcome(reference)
 
     def test_long_line_declined(self):
         # A line longer than _LINE_MAX is left to the json path, however well formed.
-        assert runs._writer_form_columns([_long_line(runs._LINE_MAX) + "\n"], True) is not None
-        assert runs._writer_form_columns([_long_line(runs._LINE_MAX + 1) + "\n"], True) is None
+        assert _writer_form(_long_line(runs._LINE_MAX) + "\n") is not None
+        assert _writer_form(_long_line(runs._LINE_MAX + 1) + "\n") is None
 
     @pytest.mark.parametrize("ternary", [False, True])
     def test_simulated_logs_read_bit_for_bit(self, tmp_path, monkeypatch, ternary):
         monkeypatch.setattr(runs, "_CHUNK_RECORDS", 64)
+        _small_reads(monkeypatch, block=4096, lines=64)
         behavior = bb.uniform_behavior(bb.Scenario(4, 3))
         if ternary:
             behavior = bb.apply_fair_sampling(behavior, 0.7, 0.8)
@@ -660,6 +684,130 @@ class TestWriterForm:
         back = bb.read_run_log(path)
         for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
             np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
+
+
+def _named_outcome(path) -> list:
+    """``_outcome`` with the log's path in error messages replaced by ``<log>``."""
+    return [(kind, detail.replace(str(path), "<log>")) if isinstance(kind, type) else (kind, detail)
+            for kind, detail in _outcome(path)]
+
+
+def _text_mode_copy(path, copy) -> None:
+    """Write to ``copy`` the lines text mode reads from ``path``, each ending in one newline."""
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.removesuffix("\n") + "\n" for line in handle]
+    copy.write_text("".join(lines), encoding="utf-8")
+
+
+_EDGE_RECORDS = [_record_line(i, alpha=i % 3, beta=i % 2, a="+-0"[i % 3], b="-+"[i % 2], tca=-(i + 1) * 1e-7)
+                 for i in range(7)]
+# Logs whose lines straddle the edges of small reads, in every line-end form text mode reads.
+_EDGE_LOGS = {
+    "newlines": "\n".join(_EDGE_RECORDS) + "\n",
+    "crlf": "\r\n".join(_EDGE_RECORDS) + "\r\n",
+    "cr only": "\r".join(_EDGE_RECORDS) + "\r",
+    "no final newline": "\n".join(_EDGE_RECORDS),
+    "mixed, blank lines": (_EDGE_RECORDS[0] + "\r\n" + _EDGE_RECORDS[1] + "\n\r\n" + _EDGE_RECORDS[2] + "\r"
+                           + _EDGE_RECORDS[3] + "\r\n\r \n\t\r" + "\n".join(_EDGE_RECORDS[4:]) + "\r"),
+    "long line": "\n".join([*_EDGE_RECORDS[:3], _long_line(600), *_EDGE_RECORDS[3:]]) + "\n",
+    "crlf, fault on line 6": "\r\n".join([*_EDGE_RECORDS[:5], _EDGE_RECORDS[5][:-1], *_EDGE_RECORDS[6:]]) + "\r\n",
+    "utf-8 symbol": "\n".join([*_EDGE_RECORDS[:4], _record_line(4, a="\u00e9")]) + "\n",
+    "utf-8 bom": "\ufeff" + "\n".join(_EDGE_RECORDS) + "\n",
+}
+# Read sizes below one record; a buffer doubles until a line fits, so each ends at a different size.
+_EDGE_BLOCKS = [1, 7, 50, 97, len(_EDGE_RECORDS[0]) + 1, 2 * len(_EDGE_RECORDS[0]) + 3, 333]
+
+
+class TestBlockEdges:
+    """Reads of a few bytes give what one read of the whole file gives, on either path."""
+
+    @pytest.mark.parametrize("block", _EDGE_BLOCKS)
+    @pytest.mark.parametrize("name", _EDGE_LOGS)
+    def test_small_reads_read_as_text_mode_does(self, tmp_path, monkeypatch, name, block):
+        path, reference = tmp_path / "runs.jsonl", tmp_path / "reference.jsonl"
+        path.write_bytes(_EDGE_LOGS[name].encode())
+        _text_mode_copy(path, reference)
+        expected = _named_outcome(reference)
+        _small_reads(monkeypatch, block=block, lines=2)
+        assert _named_outcome(path) == expected
+        _json_only(monkeypatch)
+        assert _named_outcome(path) == expected
+
+    def test_crlf_split_across_reads(self, tmp_path, monkeypatch):
+        # The first read ends between a record's \r and its \n.
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(_EDGE_LOGS["crlf"].encode())
+        reads, unify = [], runs._unify_line_ends
+        _small_reads(monkeypatch, block=len(_EDGE_RECORDS[0]) + 1)
+        monkeypatch.setattr(runs, "_unify_line_ends", lambda *args: reads.append(args) or unify(*args))
+        fast = _named_outcome(path)
+        assert reads[0][1:] == (len(_EDGE_RECORDS[0]) + 1, False)  # (data, filled, last): kept the \r
+        monkeypatch.undo()
+        assert fast == _named_outcome(path)
+
+    def test_bom_is_not_stripped(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(_EDGE_LOGS["utf-8 bom"].encode())
+        message = f"{path}:1: not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        assert all(kind is SchemaError and detail.startswith(message) for kind, detail in _outcome(path))
+
+    @pytest.mark.parametrize("block", [None, *_EDGE_BLOCKS])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, monkeypatch, ending, block):
+        lines = [line.encode() for line in _EDGE_RECORDS]
+        lines[2] = lines[2][:40] + b"\xff" + lines[2][40:]
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(ending.encode().join(lines) + ending.encode())
+        if block is not None:
+            _small_reads(monkeypatch, block=block, lines=2)
+        expected = [(SchemaError, f"{path}:3: not valid UTF-8: invalid start byte at byte 41")] * 2
+        assert _outcome(path) == expected
+        _json_only(monkeypatch)
+        assert _outcome(path) == expected
+
+    def test_earlier_fault_named_before_a_non_utf8_byte(self, tmp_path):
+        lines = [line.encode() for line in _EDGE_RECORDS]
+        lines[1] = lines[1][:-1]
+        lines[2] = b"\xff" + lines[2]
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert all(kind is SchemaError and detail.startswith(f"{path}:2: not valid JSON")
+                   for kind, detail in _outcome(path))
+
+
+# What a read holds at most, by the bound ``runs._parse_run_log`` states.
+_READ_PEAK_BOUND = 20 * 2**20
+
+
+def _tally_peak(path) -> int:
+    """Peak traced memory of ``tally_run_log(path)``, in bytes."""
+    runs._writer_form_table()  # built once per process, outside the measure
+    tracemalloc.start()
+    try:
+        bb.tally_run_log(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("where", [0, 1 << 19, (1 << 20) - 300])
+    def test_blank_lines_and_one_long_line(self, tmp_path, where):
+        # A walk of a whole block would gather 2**20 lines of 257 bytes; groups of
+        # _WALK_LINES lines keep the gathered copy at 4.2 MB.
+        blank = b"\n" * (1 << 20)
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes(blank[:where] + (_long_line(runs._LINE_MAX) + "\n").encode() + blank[where:])
+        assert _tally_peak(path) < _READ_PEAK_BOUND
+
+    def test_peak_does_not_grow_with_the_log(self, tmp_path):
+        peaks = []
+        for n in (20_000, 200_000):
+            path = tmp_path / f"runs{n}.jsonl"
+            bb.write_run_log(bb.simulate(bb.uniform_behavior(S3), n, 2, GEOMETRY), path)
+            peaks.append(_tally_peak(path))
+        assert peaks[1] <= 1.05 * peaks[0] + 2**16
+        assert peaks[1] < _READ_PEAK_BOUND
 
 
 class TestSlicedDraw:
