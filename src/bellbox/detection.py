@@ -235,11 +235,9 @@ def _strict_threshold(target: Behavior, tol_eta: float) -> ThresholdResult:
             a, b = float(result.duals @ b0), float(result.duals @ b1)
             root = a * a + 4.0 * b  # b u^2 + a u = 1 first at u = 2 / (a + sqrt(root))
             step = 2.0 / (a + math.sqrt(root)) if b > 0.0 or (a > 0.0 and root >= 0.0) else math.nan
-        elif result.status == lp.INFEASIBLE:
+        else:
             a, b = float(result.farkas @ b0), float(result.farkas @ b1)
             step = -a / b if b > 0.0 else math.nan
-        else:  # pragma: no cover - 1'r >= 0 bounds LP(u)
-            raise ArithmeticError(f"strict threshold LP ended {result.status}")
         if not 0.0 < step < u:
             raise ArithmeticError(f"strict threshold cut at eta={u!r} gave {step!r}")
         u = step

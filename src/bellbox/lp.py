@@ -43,9 +43,10 @@ the chosen pivot element is small, since that element may be roundoff the
 updates have piled up.  Every optimal point, its duals and every
 infeasibility certificate are also checked against A before they are
 returned (the point against A x = b, the duals against c - y'A >= 0, the
-certificate against y'A <= 0 < y'b), and so is the descent of an
-unbounded ray, so a basis inverse wrecked by roundoff, or a wrong price,
-raises ArithmeticError rather than giving a wrong verdict.
+certificate against y'A <= 0 < y'b), so a basis inverse wrecked by
+roundoff, or a wrong price, raises ArithmeticError rather than giving a
+wrong verdict.  Every package LP costs 0 or 1 over x >= 0, so none is
+unbounded: an entering column that no row limits raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
 # Column entries and reduced costs within _PIVOT_TOL of zero count as zero.
@@ -79,7 +79,7 @@ _STEP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of one solve.
+    """Outcome of one solve: status "optimal" or "infeasible" (an unbounded program raises).
 
     ``x``, ``objective`` and ``duals`` are set when status is "optimal";
     ``farkas`` is set when status is "infeasible"; ``infeasibility``
@@ -108,7 +108,7 @@ def solve_standard_form(
     ``a_eq`` is only read, so a read-only array is passed without a copy.
     ``price(y)`` must return ``y @ a_eq`` (default: that product); the
     entering rules use it, and every answer is still checked against
-    ``a_eq``.
+    ``a_eq``.  A program unbounded below raises ArithmeticError.
     """
     a = np.asarray(a_eq, dtype=float)
     b = np.array(b_eq, dtype=float).ravel()
@@ -123,9 +123,7 @@ def solve_standard_form(
 
     # Phase 1: unit cost on the artificials, which never re-enter.
     basis = _Basis(a, b)
-    status, phase1_pivots, y = _iterate(basis, np.concatenate([np.zeros(n), np.ones(m)]), price)
-    if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below by 0
-        raise ArithmeticError("phase 1 reported unbounded; numerical breakdown")
+    phase1_pivots, y = _iterate(basis, np.concatenate([np.zeros(n), np.ones(m)]), price)
     phase1 = float(np.sum(basis.x[basis.index >= n]))
     if phase1 > feas_tol:
         if (y @ a).max(initial=0.0) > _LOST or y @ b <= 0.0:
@@ -154,10 +152,7 @@ def solve_standard_form(
     signed = basis.x.min(initial=0.0) >= -_LOST
 
     # Phase 2 on the original columns with the real objective.
-    status, phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), price, dantzig=True)
-    pivots = (phase1_pivots, phase2_pivots)
-    if status == UNBOUNDED:
-        return SimplexResult(UNBOUNDED, None, None, phase1, None, pivots)
+    phase2_pivots, y = _iterate(basis, np.concatenate([c, np.zeros(m)]), price, dantzig=True)
 
     real = basis.index < n
     basic = basis.index[real]
@@ -173,7 +168,7 @@ def solve_standard_form(
         or reduced.min(initial=0.0) < -_LOST
     ):
         raise ArithmeticError("simplex lost accuracy: basic solution fails its checks")
-    return SimplexResult(OPTIMAL, x, float(c @ x), phase1, None, pivots, y)
+    return SimplexResult(OPTIMAL, x, float(c @ x), phase1, None, (phase1_pivots, phase2_pivots), y)
 
 
 class _Basis:
@@ -236,11 +231,10 @@ class _Basis:
         self.index[p] = q
 
 
-def _iterate(basis: _Basis, cost: np.ndarray, price, dantzig: bool = False) -> tuple[str, int, np.ndarray]:
-    """Pivots on the columns of A until optimal or unbounded; returns the
-    status, the pivot count and the final duals.  The entering rule is
-    Bland's, or with ``dantzig`` Dantzig's until ``_STALL`` degenerate
-    pivots in a row."""
+def _iterate(basis: _Basis, cost: np.ndarray, price, dantzig: bool = False) -> tuple[int, np.ndarray]:
+    """Pivots on the columns of A until optimal; returns the pivot count and
+    the final duals.  The entering rule is Bland's, or with ``dantzig``
+    Dantzig's until ``_STALL`` degenerate pivots in a row."""
     degenerate = 0
     real_cost = cost[: basis.n]
     for pivots in range(_MAX_PIVOTS):
@@ -252,7 +246,7 @@ def _iterate(basis: _Basis, cost: np.ndarray, price, dantzig: bool = False) -> t
         else:
             q = _first_negative(reduced)
         if q is None:
-            return OPTIMAL, pivots, duals
+            return pivots, duals
         column = basis.column(q)
         p = _leaving_row(basis, column)
         if p is not None and abs(column[p]) < _SMALL_PIVOT:
@@ -260,17 +254,14 @@ def _iterate(basis: _Basis, cost: np.ndarray, price, dantzig: bool = False) -> t
             column = basis.column(q)
             p = _leaving_row(basis, column)
         if p is None:
-            # The price chose q; the ray must also descend on A itself.
-            if cost[q] - cost[basis.index] @ column >= 0.0:
-                raise ArithmeticError("simplex lost accuracy: unbounded ray does not descend")
-            return UNBOUNDED, pivots, duals
+            raise ArithmeticError(f"no row limits entering column {q}: unbounded program or lost accuracy")
         degenerate = degenerate + 1 if basis.x[p] <= _STEP_TOL * column[p] else 0
         basis.pivot(p, q, column)
     raise ArithmeticError("simplex pivot limit exceeded")
 
 
 def _leaving_row(basis: _Basis, column: np.ndarray) -> int | None:
-    """Minimum-ratio row for the entering column, or None when it is unbounded.
+    """Minimum-ratio row for the entering column, or None when no row limits it.
     Ratios within 1e-12 (relative) of the minimum tie; the row of the smallest
     basic index among them leaves (Bland)."""
     rows = ((column > _PIVOT_TOL) & basis.live).nonzero()[0]

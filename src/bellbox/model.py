@@ -246,14 +246,7 @@ def wigner_literal(k: int, scenario: Scenario | None = None) -> BellFunctional:
     if k not in (0, 1, 2):
         raise SettingOutOfRange(f"cyclic shift k={k} out of range {{0, 1, 2}}")
     _require_binary(scenario, 3)
-    coeffs = np.zeros(scenario.shape)
-    for i, j, sign in (
-        ((1 + k) % 3, (2 + k) % 3, 1.0),
-        ((2 + k) % 3, (0 + k) % 3, 1.0),
-        ((0 + k) % 3, (1 + k) % 3, -1.0),
-    ):
-        coeffs[i, j, 0, 1] = sign
-    return BellFunctional(scenario, coeffs, 0.0, Direction.AT_LEAST)
+    return _wigner(scenario, (((1 + k) % 3, (2 + k) % 3, 1.0), ((2 + k) % 3, k, 1.0), (k, (1 + k) % 3, -1.0)))
 
 
 def wigner_chained(i: int, j: int, k: int, scenario: Scenario | None = None) -> BellFunctional:
@@ -271,10 +264,14 @@ def wigner_chained(i: int, j: int, k: int, scenario: Scenario | None = None) -> 
         _check_setting(value, min(scenario.settings_a, scenario.settings_b), name)
     if len({i, j, k}) != 3:
         raise DuplicateSetting(f"settings ({i}, {j}, {k}) must be distinct")
+    return _wigner(scenario, ((i, j, 1.0), (j, k, 1.0), (i, k, -1.0)))
+
+
+def _wigner(scenario: Scenario, terms) -> BellFunctional:
+    """The functional sum of sign * p(+,- | i, j) over the ``terms`` (i, j, sign), bound 0, AT_LEAST."""
     coeffs = np.zeros(scenario.shape)
-    coeffs[i, j, 0, 1] += 1.0
-    coeffs[j, k, 0, 1] += 1.0
-    coeffs[i, k, 0, 1] -= 1.0
+    for i, j, sign in terms:
+        coeffs[i, j, 0, 1] = sign
     return BellFunctional(scenario, coeffs, 0.0, Direction.AT_LEAST)
 
 

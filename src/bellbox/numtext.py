@@ -1,8 +1,8 @@
 """Numbers as JSON text, formatted a column at a time in numpy, for the run-log writer.
 
 Each value's text is held in little-endian 8-byte words, padded with NUL
-bytes that the writer drops.  An integer is written as ``str`` writes it.
-A double is written as ``repr``, and so ``json.dumps``, writes it: the
+bytes that the writer drops.  An integer is written as ``str`` writes it,
+by a loop of uint64 ``divmod`` by 10 into uint8 digit bytes.  A double is written as ``repr``, and so ``json.dumps``, writes it: the
 shortest decimal that reads back to the same double (of two, the nearer;
 of two as near, the one with an even last digit), laid out positionally
 when its decimal exponent lies in [-4, 16) and as d.ddde+XX otherwise.
@@ -37,10 +37,7 @@ class _NumberTables(NamedTuple):
     g1: np.ndarray  # high 63 bits of g(k) = floor(10**-k / 2**r(k)) + 1, with 2**125 <= g < 2**126
     g0: np.ndarray  # low 63 bits of g(k)
     r: np.ndarray  # the binary exponent r(k)
-    digits4: np.ndarray  # [i] the text of i, 0 <= i < 10**4, as four digits
-    length4: np.ndarray  # [i] the digits of i without leading zeros
     zeros4: np.ndarray  # [i] the trailing zeros of i's four digits
-    last4: np.ndarray  # [m] masks four bytes to their last m
     pairs4: np.ndarray  # [i] i's four digits as the odd bytes of a word
     show: np.ndarray  # [j, n] masks word j's digits to the first n of d1..d17
     point: np.ndarray  # [j, n] a '.' in word j just after digit n of d1..d16, none for 0
@@ -73,10 +70,7 @@ def _number_tables() -> _NumberTables:
         g1=np.array([value >> 63 for value, _ in g], np.uint64),
         g0=np.array([value & (1 << 63) - 1 for value, _ in g], np.uint64),
         r=np.array([r for _, r in g], np.int64),
-        digits4=four.view("<u4")[:, 0].astype(np.uint64),
-        length4=(i[:, None] >= 10 ** np.arange(4)).sum(axis=1),
         zeros4=(i[:, None] % 10 ** np.arange(1, 5) == 0).sum(axis=1),
-        last4=np.array([(1 << 32) - (1 << 8 * (4 - m)) for m in range(5)], np.uint64),
         pairs4=pairs.view("<u8")[:, 0].astype(np.uint64),
         show=show,
         point=point,
@@ -182,23 +176,19 @@ def float_words(values: np.ndarray) -> np.ndarray:
 
 
 def integer_words(values: np.ndarray) -> np.ndarray:
-    """(words, n) words holding ``str`` of each int64: four bytes for the sign, then four digits a group."""
-    tables = _number_tables()
+    """(words, n) words holding ``str`` of each int64: the sign in the first byte, the digits right-aligned."""
     values = np.asarray(values, np.int64)
     bits = values.view(np.uint64)
     rest = np.where(values < 0, ~bits + _U64[1], bits)  # the magnitude, 2**63 included
-    groups, length = [], np.ones(values.size, np.int64)
-    while not groups or rest.any():
-        rest, group = np.divmod(rest, np.uint64(10**4))
-        group = group.astype(np.intp)
-        length = np.where(group != 0, 4 * len(groups) + tables.length4.take(group), length)
-        groups.append(group)
-    slots = [tables.digits4.take(group) & tables.last4.take(np.clip(length - 4 * g, 0, 4))
-             for g, group in enumerate(groups)]
-    slots.append(np.where(values < 0, np.uint64(ord("-")), _U64[0]))
-    slots += [np.zeros(values.size, np.uint64)] * (len(slots) % 2)
-    slots.reverse()  # leading words first: padding, the sign, then the groups, highest first
-    return np.stack([first | second << _U64[32] for first, second in zip(slots[0::2], slots[1::2])])
+    digits = []  # lowest first, as text bytes, NUL once the value has run out of digits
+    while not digits or rest.any():
+        shown = rest != _U64[0] if digits else True
+        rest, digit = np.divmod(rest, _U64[10])
+        digits.append(np.where(shown, digit.astype(np.uint8) + np.uint8(ord("0")), np.uint8(0)))
+    text = np.zeros((values.size, 8 * (len(digits) // 8 + 1)), np.uint8)
+    text[:, 0] = np.where(values < 0, np.uint8(ord("-")), np.uint8(0))
+    text[:, -len(digits):] = np.stack(digits[::-1], axis=1)
+    return text.view("<u8").T
 
 
 def text_words(texts, width: int = 1) -> np.ndarray:

@@ -330,12 +330,11 @@ def read_run_log(path) -> RunLog:
     held as columns; ``tally_run_log``, which the CLI's ``estimate`` and
     ``audit`` use, counts a log in bounded memory instead.
     """
-    columns = [np.concatenate(parts) for parts in zip(*_parse_run_log(path))]
-    if not columns:
+    groups = list(_parse_run_log(path))
+    if not groups:
         raise SchemaError(f"{path}: run log contains no records")
-    index, alpha, beta, a_index, b_index, tca, tcb, tr = columns
-    sa, sb = _setting_grid(path, (0, 0), alpha, beta)
-    scenario = _infer_scenario(sa, sb, bool((a_index == 2).any()), bool((b_index == 2).any()))
+    index, alpha, beta, a_index, b_index, tca, tcb, tr = map(np.concatenate, zip(*(columns for _, columns in groups)))
+    scenario = _infer_scenario(*groups[-1][0], bool((a_index == 2).any()), bool((b_index == 2).any()))
     return RunLog(scenario, index, alpha, beta, a_index, b_index, tca, tcb, tr)
 
 
@@ -349,8 +348,7 @@ def tally_run_log(path) -> Tally:
     (see ``_parse_run_log``).
     """
     counts = np.zeros((0, 0, 3, 3), dtype=np.int64)  # (alpha, beta, a, b) over all three symbols
-    for _, alpha, beta, a_code, b_code, _, _, _ in _parse_run_log(path, full=False):
-        sa, sb = _setting_grid(path, counts.shape[:2], alpha, beta)
+    for (sa, sb), (_, alpha, beta, a_code, b_code, _, _, _) in _parse_run_log(path, full=False):
         if (sa, sb) != counts.shape[:2]:
             counts = np.pad(counts, ((0, sa - counts.shape[0]), (0, sb - counts.shape[1]), (0, 0), (0, 0)))
         flat = ((alpha * sb + beta) * 3 + a_code) * 3 + b_code
@@ -364,10 +362,9 @@ def tally_run_log(path) -> Tally:
     return Tally(scenario, counts[:, :, :ka, :kb])
 
 
-def _setting_grid(path, seen: tuple[int, int], alpha: np.ndarray, beta: np.ndarray) -> tuple[int, int]:
-    """Setting counts that cover ``seen`` and the records' indices, within ``SETTING_PAIR_CAP``."""
-    sa = max(seen[0], int(alpha.max()) + 1)
-    sb = max(seen[1], int(beta.max()) + 1)
+def _setting_grid(path, seen: tuple[int, int], alpha: int, beta: int) -> tuple[int, int]:
+    """Setting counts that cover ``seen`` and the setting indices ``alpha`` and ``beta``, within ``SETTING_PAIR_CAP``."""
+    sa, sb = max(seen[0], alpha + 1), max(seen[1], beta + 1)
     if sa * sb > SETTING_PAIR_CAP:
         raise SizeLimit(f"{path}: {sa} x {sb} settings exceed the cap of {SETTING_PAIR_CAP} setting pairs")
     return sa, sb
@@ -379,8 +376,8 @@ def _infer_scenario(settings_a: int, settings_b: int, null_a: bool, null_b: bool
     return Scenario(settings_a, settings_b, alphabets[null_a], alphabets[null_b])
 
 
-def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None, ...]]:
-    """Yield validated record columns, in ``_RECORD_KEYS`` order, per group of lines.
+def _parse_run_log(path, full: bool = True) -> Iterator[tuple[tuple[int, int], tuple[np.ndarray | None, ...]]]:
+    """Yield the setting counts so far and validated record columns, in ``_RECORD_KEYS`` order, per group of lines.
 
     The file is read in binary mode, ``_READ_BYTES`` at a time, into one
     reused buffer.  Each block is cut after its last line end and the rest
@@ -395,7 +392,9 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None,
     columns are None unless ``full``.  Any other group is read line by line
     through ``_json_columns``: strict UTF-8, then ``_json_record``, which
     alone defines a valid log and words every error, naming the first
-    faulty line.
+    faulty line.  So that the first fault in file order is raised, a
+    writer-form group that passes ``SETTING_PAIR_CAP`` is read again
+    through ``json``, which checks the setting counts after each record.
 
     Memory does not grow with the log: the buffer (``_READ_BYTES`` and
     ``_LINE_MAX + 1`` bytes of padding, or up to twice the longest line),
@@ -407,7 +406,7 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None,
     """
     size = _READ_BYTES
     data = np.empty(size + _LINE_MAX + 1, np.uint8)  # bytes past the read ones pad the automaton's gather
-    held, lineno = 0, 1
+    held, lineno, grid = 0, 1, (0, 0)
     with open(path, "rb") as handle:
         while True:
             if held == size:  # a full buffer with no line end: double it
@@ -427,11 +426,16 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[np.ndarray | None,
                 group = ends[first:first + _WALK_LINES]
                 starts = np.concatenate(([ends[first - 1] + 1 if first else 0], group[:-1] + 1))
                 columns = _writer_form_columns(data, starts, group, full)
+                if columns is not None:
+                    try:
+                        grid = _setting_grid(path, grid, int(columns[1].max()), int(columns[2].max()))
+                    except SizeLimit:  # read again through json, which names the record that passed the cap
+                        columns = None
                 if columns is None:
                     lines = data[starts[0]:group[-1]].tobytes().split(b"\n")
-                    columns = _json_columns(path, lines, lineno + first)
+                    columns, grid = _json_columns(path, lines, lineno + first, grid)
                 if columns is not None:
-                    yield columns
+                    yield grid, columns
             if last:
                 return
             lineno += ends.size
@@ -458,11 +462,12 @@ def _unify_line_ends(data: np.ndarray, filled: int, last: bool) -> int:
     return kept.size
 
 
-def _json_columns(path, lines: list[bytes], first_lineno: int) -> list[np.ndarray] | None:
-    """The record columns of ``lines`` through ``_json_record``, or None if all are blank.
+def _json_columns(path, lines: list[bytes], first_lineno: int, grid: tuple[int, int]) -> tuple[list | None, tuple]:
+    """The record columns of ``lines`` through ``_json_record`` (None if all are blank) and the setting counts ``grid``.
 
     Each line that is not empty is decoded as strict UTF-8; the first line
-    that is not UTF-8 or not a valid record raises SchemaError naming it.
+    that is not UTF-8 or not a valid record raises SchemaError naming it,
+    and the first record past ``SETTING_PAIR_CAP`` raises SizeLimit.
     """
     records = []
     for lineno, raw in enumerate(lines, first_lineno):
@@ -477,7 +482,8 @@ def _json_columns(path, lines: list[bytes], first_lineno: int) -> list[np.ndarra
                 records.append(_json_record(line))
             except ValueError as fault:
                 raise SchemaError(f"{path}:{lineno}: {fault}") from fault
-    return list(map(np.array, zip(*records), _COLUMN_DTYPES.values())) if records else None
+            grid = _setting_grid(path, grid, records[-1][1], records[-1][2])
+    return (list(map(np.array, zip(*records), _COLUMN_DTYPES.values())) if records else None), grid
 
 
 def _json_record(line: str) -> tuple:
@@ -522,11 +528,12 @@ def _json_record(line: str) -> tuple:
 # table of a deterministic automaton over bytes walks every line of a group in
 # lockstep (Langdale & Lemire, "Parsing gigabytes of JSON per second", 2019, in
 # numpy).  It accepts a line exactly when it is ``_RECORD_LINE`` with no
-# whitespace, integers of at most 18 digits, setting indices with no sign,
-# symbols from ``_SYMBOL_CODES``, choice times that are a minus sign and a
-# mantissa with a nonzero digit, with a fraction or an exponent and a negative
-# exponent of at most two digits, and a report time with no sign and a
-# fraction or an exponent.  Such a line decodes through ``json`` to the same
+# whitespace, integers of at most 18 digits with no sign (a negative index,
+# which only a hand-built log holds, is left to the json path), symbols from
+# ``_SYMBOL_CODES``, choice times that are a minus sign and a mantissa with a
+# nonzero digit, with a fraction or an exponent and a negative exponent of at
+# most two digits, and a report time with no sign and a fraction or an
+# exponent.  Such a line decodes through ``json`` to the same
 # values, and its times keep the protocol's order whatever their digits: a
 # 256-byte line leaves room for under 200 leading zeros, so with an exponent of
 # -99 or more no choice time underflows to -0.0.
@@ -564,11 +571,7 @@ def _writer_form_table() -> np.ndarray:
             sources = [state]
         return sources
 
-    def integer(sources, signed=False):  # -?(0|[1-9]\d{0,17}), so every value fits int64
-        if signed:
-            (minus,) = new()
-            edge(sources, "-", minus)
-            sources = [*sources, minus]
+    def integer(sources):  # 0|[1-9]\d{0,17}, so every value fits int64
         zero, *digits = new(19)
         edge(sources, "0", zero)
         edge(sources, _NONZERO, digits[0])
@@ -615,8 +618,7 @@ def _writer_form_table() -> np.ndarray:
 
     # The literal text of _RECORD_LINE around its slots, and each slot's value grammar.
     *pieces, close = _RECORD_PIECES
-    values = (functools.partial(integer, signed=True), integer, integer, symbol, symbol,
-              choice_time, choice_time, report_time)
+    values = (integer, integer, integer, symbol, symbol, choice_time, choice_time, report_time)
     ends = [_START]
     for piece, value in zip(pieces, values, strict=True):
         ends = value(text(ends, piece))
@@ -669,11 +671,8 @@ def _writer_form_columns(data: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     a_code, b_code = (_SYMBOL_BYTE_CODES[text[marks[k] + _SLOT_STARTS[k]]] for k in (3, 4))
     if not full:
         return None, alpha, beta, a_code, b_code, None, None, None
-    first, stop = slot(0)
-    negative = text[first] == ord("-")
-    index = _slot_integers(text, first + negative, stop)
     tca, tcb, tr = (_slot_floats(text, *slot(k)) for k in (5, 6, 7))
-    return np.where(negative, -index, index), alpha, beta, a_code, b_code, tca, tcb, tr
+    return _slot_integers(text, *slot(0)), alpha, beta, a_code, b_code, tca, tcb, tr
 
 
 def _slot_integers(padded: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:

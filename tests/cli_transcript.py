@@ -16,7 +16,7 @@ The list covers every subcommand: singlet and product-state behaviors at
 2x2 to 5x5 and a 9x10 one, classify on each, inequality bounds, efficiency in
 both modes with ``--model-out``, simulate, estimate and audit at 2e5 runs,
 estimate and audit on four small logs in a form simulate never writes, and
-bad input.  The script exits 1 when a command's exit code is not the one
+bad input, then estimate on two logs with two faults each.  The script exits 1 when a command's exit code is not the one
 listed for it, so it doubles as a smoke test.  pytest does not collect it.
 """
 
@@ -43,14 +43,17 @@ def _cmd(code: int, name: str, *argv: str) -> tuple[int, str, list[str]]:
 
 
 def _write_logs(out: Path) -> None:
-    """Write four run logs in forms simulate never writes.
+    """Write six run logs in forms simulate never writes.
 
     ``respaced.jsonl`` holds valid records re-spaced by ``json.dumps``'
     default separators.  ``two-faults.jsonl`` has a bad symbol on line 2 and
     a string alpha on line 4, so its error names line 2.  ``crlf.jsonl``
     holds writer-form records with ``\\r\\n`` line ends, which the reader
     reads as text mode does.  ``not-utf8.jsonl`` has a ``0xff`` byte on
-    line 3, so its error names line 3.
+    line 3, so its error names line 3.  ``cap-fault-6.jsonl`` and
+    ``cap-fault-20001.jsonl`` hold 30,000 writer-form records whose line 1
+    has alpha = beta = 300, past the setting-pair cap, and a bad symbol on
+    line 6 or line 20,001; the cap, the first fault, is named either way.
     """
     records = [{"i": k, "alpha": k % 2, "beta": k // 2 % 2, "a": "+-"[k // 4 % 2], "b": "-+0"[k % 3],
                 "tca": -1e-07, "tcb": -2.5e-07, "tr": 1e-06} for k in range(12)]
@@ -64,6 +67,13 @@ def _write_logs(out: Path) -> None:
     (out / "crlf.jsonl").write_bytes(b"".join(line + b"\r\n" for line in compact))
     compact[2] = compact[2].replace(b'"a":"+"', b'"a":"\xff"')
     (out / "not-utf8.jsonl").write_bytes(b"".join(line + b"\n" for line in compact))
+    capped = [{**records[k % 12], "i": k} for k in range(30_000)]
+    capped[0] = {**capped[0], "alpha": 300, "beta": 300}
+    for bad in (6, 20_001):
+        lines = capped.copy()
+        lines[bad - 1] = {**lines[bad - 1], "a": "x"}
+        (out / f"cap-fault-{bad}.jsonl").write_text(
+            "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in lines), encoding="utf-8")
 
 
 # (expected exit code, name, arguments).  The 4x4 strict search at turn 0
@@ -132,6 +142,8 @@ COMMANDS += [
     _cmd(2, "unknown-subcommand", "transmogrify"),
     _cmd(0, "estimate-crlf", "estimate", "--runs", "crlf.jsonl", "--out", "estimate-crlf.json"),
     _cmd(2, "audit-not-utf8", "audit", "--runs", "not-utf8.jsonl", "--geometry", "400,1e-6"),
+    _cmd(2, "estimate-cap-fault-6", "estimate", "--runs", "cap-fault-6.jsonl", "--out", "bad.json"),
+    _cmd(2, "estimate-cap-fault-20001", "estimate", "--runs", "cap-fault-20001.jsonl", "--out", "bad.json"),
 ]
 
 

@@ -22,11 +22,12 @@ def test_random_feasible_programs_match_scipy():
         b = a @ x0
         c = rng.normal(size=n)
         reference = scipy_solve(a, b, c)
-        result = lp.solve_standard_form(a, b, c)
-        if reference.status == 3:  # unbounded
-            assert result.status == lp.UNBOUNDED, f"trial {trial}"
+        if reference.status == 3:  # unbounded: the solver has no such outcome and raises
+            with pytest.raises(ArithmeticError, match="no row limits"):
+                lp.solve_standard_form(a, b, c)
         else:
             assert reference.status == 0
+            result = lp.solve_standard_form(a, b, c)
             assert result.status == lp.OPTIMAL, f"trial {trial}"
             assert result.objective == pytest.approx(reference.fun, abs=1e-7)
             np.testing.assert_allclose(a @ result.x, b, atol=1e-8)
@@ -76,9 +77,10 @@ def test_duals_match_highs_marginals():
 
 
 def test_unbounded_detection():
-    # min -x1 with x1 - x2 = 0: push both up forever.
-    result = lp.solve_standard_form([[1.0, -1.0]], [0.0], [-1.0, 0.0])
-    assert result.status == lp.UNBOUNDED
+    # min -x1 with x1 - x2 = 0: push both up forever.  There is no unbounded
+    # outcome, so the column that no row limits raises.
+    with pytest.raises(ArithmeticError, match="no row limits entering column 1"):
+        lp.solve_standard_form([[1.0, -1.0]], [0.0], [-1.0, 0.0])
 
 
 def beale():
@@ -218,10 +220,17 @@ def random_program(rng, kind):
 
 
 def solve_against_highs(a, b, c) -> str:
-    """Solve, check status, optimum or Farkas certificate against HiGHS, and return the status."""
+    """Solve, check status, optimum or Farkas certificate against HiGHS, and return HiGHS's status.
+
+    A program HiGHS finds unbounded must raise ArithmeticError: the solver has no unbounded outcome.
+    """
     reference = scipy_solve(a, b, c)
+    if reference.status == 3:
+        with pytest.raises(ArithmeticError, match="no row limits"):
+            lp.solve_standard_form(a, b, c)
+        return "unbounded"
     result = lp.solve_standard_form(a, b, c)
-    expected = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[reference.status]
+    expected = {0: lp.OPTIMAL, 2: lp.INFEASIBLE}[reference.status]
     assert result.status == expected
     if expected == lp.OPTIMAL:
         assert result.objective == pytest.approx(reference.fun, abs=1e-9)
@@ -232,7 +241,7 @@ def solve_against_highs(a, b, c) -> str:
 
 def test_random_programs_agree_with_highs(entering):
     rng = np.random.default_rng(2718)
-    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, "unbounded": 0}
     for trial in range(90):
         seen[solve_against_highs(*random_program(rng, trial % 3))] += 1
     assert min(seen.values()) >= 5  # every outcome was exercised
@@ -372,7 +381,7 @@ def test_crash_programs_agree_with_highs(entering):
     # Random programs with unit columns added: some rows crash, others keep
     # their artificial, with b_i of either sign or zero.
     rng = np.random.default_rng(31)
-    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, lp.UNBOUNDED: 0}
+    seen = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0, "unbounded": 0}
     mixed = 0
     for trial in range(90):
         a, b, c = random_program(rng, trial % 3)
@@ -562,7 +571,7 @@ def wrong_prices(a):
 
 def agrees_with_highs(a, b, c, result) -> None:
     reference = scipy_solve(a, b, c)
-    assert result.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[reference.status]
+    assert result.status == {0: lp.OPTIMAL, 2: lp.INFEASIBLE}[reference.status]
     if result.status == lp.OPTIMAL:
         assert result.objective == pytest.approx(reference.fun, abs=1e-9)
     elif result.status == lp.INFEASIBLE:
@@ -600,6 +609,10 @@ def test_a_wrong_price_raises_or_answers_right(monkeypatch, chained_target, wron
     rng = np.random.default_rng(4)
     for trial in range(60):
         a, b, c = random_program(rng, trial % 3)
+        if scipy_solve(a, b, c).status == 3:  # unbounded: there is no such outcome, so it raises
+            with pytest.raises(ArithmeticError):
+                lp.solve_standard_form(a, b, c, price=wrong_prices(a)[wrong])
+            continue
         try:
             result = lp.solve_standard_form(a, b, c, price=wrong_prices(a)[wrong])
         except ArithmeticError:
@@ -613,9 +626,8 @@ def test_a_wrong_price_raises_or_answers_right(monkeypatch, chained_target, wron
 def test_a_wrong_price_cannot_claim_an_unbounded_program():
     # min x0 s.t. x0 - x1 = 0 is optimal at 0 from its crash basis {x0}.  A
     # negated price makes x1 look improving, and its column has no positive
-    # entry; the ray x0 = x1 = t does not descend, so the solver must raise
-    # rather than report the program unbounded.
+    # entry, so the solver must raise rather than answer.
     a, b, c = np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0])
     assert lp.solve_standard_form(a, b, c).objective == 0.0
-    with pytest.raises(ArithmeticError, match="does not descend"):
+    with pytest.raises(ArithmeticError, match="no row limits entering column 1"):
         lp.solve_standard_form(a, b, c, price=lambda y: -(y @ a))

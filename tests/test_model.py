@@ -255,6 +255,15 @@ class TestWignerChained:
         with pytest.raises(SettingOutOfRange):
             bb.wigner_chained(0, 1, 3)
 
+    def test_check_order_of_both_forms(self):
+        # Each form keeps its own check order: the chained form checks the
+        # alphabet before the indices, the literal form the shift first.
+        ternary = bb.Scenario(3, 3, bb.Alphabet.PLUS_MINUS_NULL, bb.Alphabet.PLUS_MINUS)
+        with pytest.raises(AlphabetMismatch):
+            bb.wigner_chained(5, 5, 0, ternary)
+        with pytest.raises(SettingOutOfRange):
+            bb.wigner_literal(3, ternary)
+
 
 class TestChsh:
     def test_uniform_value_zero(self):

@@ -473,6 +473,25 @@ class TestRunLogStreaming:
             with pytest.raises(SizeLimit, match="256 x 257 settings exceed the cap of 65536"):
                 reader(path)
 
+    @pytest.mark.parametrize("malformed", [6, 20_001])
+    @pytest.mark.parametrize("small", [False, True])
+    def test_first_fault_wins_over_a_later_malformed_line(self, tmp_path, monkeypatch, malformed, small):
+        # Line 1 passes the setting-pair cap and a later line is malformed.  The
+        # cap is checked record by record in file order, so both readers raise
+        # SizeLimit for line 1 wherever the groups of lines fall, naming the
+        # counts at line 1, not those after line 3 in the same group.
+        if small:
+            _small_reads(monkeypatch)
+        lines = [_record_line(k) for k in range(30_000)]
+        lines[0] = _record_line(0, alpha=300, beta=300)
+        lines[2] = _record_line(2, alpha=400)
+        lines[malformed - 1] = _record_line(malformed - 1, a="x")
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (bb.read_run_log, bb.tally_run_log):
+            with pytest.raises(SizeLimit, match="301 x 301 settings exceed the cap of 65536"):
+                reader(path)
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -540,12 +559,12 @@ def _writer_form(text: str, full: bool = True):
     return runs._writer_form_columns(data, np.concatenate(([0], ends[:-1] + 1)), ends, full)
 
 
-# Writer-form lines: binary and ternary symbols, multi-digit and negative
-# indices, and short and long times, with and without an exponent.
+# Writer-form lines: binary and ternary symbols, multi-digit indices, and
+# short and long times, with and without an exponent.
 _CANONICAL_LINES = [
     _record_line(0, 0, 1, "+", "-", -1.799250389652762e-08, -9.946706456264212e-07, 1e-06),
     _record_line(123456, 12, 305, "0", "0", -0.5, -1e-05, 2.5),
-    _record_line(-42, 7, 0, "-", "0", -123456.789, -2.5e+16, 0.0),
+    _record_line(42, 7, 0, "-", "0", -123456.789, -2.5e+16, 0.0),
 ]
 _MUTATION_BYTES = '{}":,.-+019eEx\t'
 
@@ -597,6 +616,20 @@ class TestWriterForm:
         for mutant, expected in zip(mutants, fast):
             path.write_text(_record_line(0) + "\n" + mutant + "\n")
             assert _outcome(path) == expected, mutant
+
+    def test_negative_index_takes_the_json_path(self, tmp_path, monkeypatch):
+        # The automaton reads indices unsigned.  A negative index, which only a
+        # hand-built log holds, is declined, and both readers read it as the json
+        # path alone reads it.
+        line = _record_line(-42, 7, 0, "-", "0", -123456.789, -2.5e+16, 0.0)
+        assert _writer_form(line + "\n") is None
+        path = tmp_path / "runs.jsonl"
+        path.write_text(_record_line(0) + "\n" + line + "\n")
+        read = _outcome(path)
+        assert all(not isinstance(result[0], type) for result in read)
+        assert bb.read_run_log(path).index.tolist() == [0, -42]
+        _json_only(monkeypatch)
+        assert _outcome(path) == read
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -861,6 +894,14 @@ class TestNumberText:
         values = np.concatenate((_INT64_EXTREMES, np.random.default_rng(12).integers(-(2**63), 2**63 - 1, 1000)))
         assert _word_texts(numtext.integer_words(values)) == [str(v) for v in values.tolist()]
         assert _word_texts(numtext.integer_words(np.zeros(3, np.int64))) == ["0"] * 3
+
+    def test_integers_of_every_length_and_sign_in_one_chunk(self):
+        # One chunk holds 1- to 19-digit values of both signs, so each value's
+        # digits and sign share words laid out for the longest.
+        magnitudes = [10**n for n in range(19)] + [10**n - 1 for n in range(1, 19)] + [2**63 - 1]
+        values = np.array(magnitudes + [-m for m in magnitudes], np.int64)
+        np.random.default_rng(3).shuffle(values)
+        assert _word_texts(numtext.integer_words(values)) == [str(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("chunks", [(3, 2), None])
     def test_writer_matches_reference_on_extreme_numbers(self, tmp_path, monkeypatch, chunks):
