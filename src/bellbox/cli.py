@@ -166,11 +166,11 @@ def _cmd_quantum(ns) -> int:
 def _cmd_simulate(ns) -> int:
     behavior = _load_behavior(ns.behavior)
     geometry = _parse_geometry(ns.geometry)
-    log = runs.simulate(behavior, ns.runs, ns.seed, geometry, stream=ns.stream)
-    runs.write_run_log(log, ns.out)
+    chunks = runs.simulate_chunks(behavior, ns.runs, ns.seed, geometry, stream=ns.stream)
+    runs.write_run_chunks(behavior.scenario, chunks, ns.out)
     _emit(
         {
-            "runs": len(log),
+            "runs": ns.runs,
             "seed": ns.seed,
             "stream": ns.stream,
             "geometry": {"L": geometry.L, "T": geometry.T},

@@ -10,13 +10,18 @@ arbitrarily many statistically independent sub-streams via the ``stream``
 id.  Identical (seed, stream, n_runs, behavior) reproduce the identical
 record stream bit-for-bit within one build; cross-language bit-exactness
 is not promised.  Draw order per simulation: alpha array, beta array,
-outcome uniforms, choice-time uniforms for A, then for B.
+outcome uniforms, choice-time uniforms for A, then for B.  Records are
+drawn a chunk at a time (``simulate_chunks``) and still follow that order:
+each of the five columns has its own generator, started where one draw of
+the whole columns would reach it.
 
 Run logs are JSON Lines files.  The writer formats a chunk of records at
 a time in numpy: a time's digits are the Schubfach algorithm's shortest
 round-trip decimal, laid out exactly as ``repr`` lays them out, and zeros,
 subnormals, NaN and the infinities go through ``repr`` itself (see
-``numtext``).  ``tally_run_log`` (behind the CLI's ``estimate`` and
+``numtext``).  The CLI's ``simulate`` hands each drawn chunk to the writer
+as it comes, so, unlike the library's ``simulate``, it never holds the
+whole log.  ``tally_run_log`` (behind the CLI's ``estimate`` and
 ``audit``) counts a log in memory that does not grow with its length;
 ``read_run_log`` loads the whole log.  Both read the file as bytes, a block
 at a time into one reused buffer, with line ends as text mode reads them,
@@ -34,7 +39,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,7 +54,7 @@ from .errors import (
 from .model import Alphabet, Behavior, BellFunctional, Scenario, evaluate_functional
 
 SPEED_OF_LIGHT = 299792458.0
-_DRAW_RECORDS = 1 << 16  # records whose outcomes simulate draws per step
+_CHUNK_RECORDS = 1 << 14  # records simulate draws, and the writer formats, per step
 
 
 @dataclass(frozen=True)
@@ -99,37 +104,73 @@ def simulate(b: Behavior, n_runs: int, seed: int, g: Geometry, stream: int = 0) 
 
     Settings are i.i.d. uniform and independent across sides; outcomes come
     from the behavior's block at the drawn settings; choice times are
-    uniform in [-T, 0) and every report lands exactly at t=T.
+    uniform in [-T, 0) and every report lands exactly at t=T.  The columns
+    are filled from ``simulate_chunks``, so this log holds the records the
+    CLI's ``simulate`` writes a chunk at a time.
+    """
+    chunks = simulate_chunks(b, n_runs, seed, g, stream)  # checks n_runs before any column is made
+    drawn = [np.empty(n_runs, dtype) for dtype in list(_COLUMN_DTYPES.values())[1:-1]]
+    for index, *values, _ in chunks:
+        for column, part in zip(drawn, values):
+            column[index[0]:index[0] + index.size] = part
+    # The index and report columns are made after the draw, which keeps the peak at eight columns.
+    return RunLog(b.scenario, np.arange(n_runs), *drawn, np.full(n_runs, float(g.T)))
+
+
+def simulate_chunks(b: Behavior, n_runs: int, seed: int, g: Geometry,
+                    stream: int = 0) -> Iterator[tuple[np.ndarray, ...]]:
+    """``simulate``'s record columns, in ``_RECORD_KEYS`` order, ``_CHUNK_RECORDS`` records at a time.
+
+    The records are those of one draw of each whole column in the module's
+    draw order; each column has its own generator, placed where that draw
+    starts it (see ``_column_generators``).  A record's outcome pair is the
+    number of its block's cumulative probabilities at or below its uniform.
+    ``n_runs`` is checked, and the generators placed, before the first
+    chunk is asked for, so a bad count raises before a file is opened.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     sa, sb, ka, kb = b.scenario.shape
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    alpha = rng.integers(0, sa, size=n_runs)
-    beta = rng.integers(0, sb, size=n_runs)
-    u = rng.random(n_runs)
-    tca = (rng.random(n_runs) - 1.0) * g.T
-    tcb = (rng.random(n_runs) - 1.0) * g.T
+    # levels[j, pair]: the probability of outcome pairs 0..j at a setting pair.  The top level,
+    # 1 up to rounding, is left out: a uniform in [0, 1) is below 1, whatever the rounding.
+    levels = b.p.reshape(sa * sb, ka * kb).cumsum(axis=1)[:, :-1].T.copy()
+    alphas, betas, outcomes, choices_a, choices_b = _column_generators(seed, stream, n_runs, (sa, sb))
 
-    cum = b.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
-    cum[:, :, -1] = 1.0  # guard the top edge against rounding
-    a_index, b_index = np.empty(n_runs, np.int64), np.empty(n_runs, np.int64)
-    for start in range(0, n_runs, _DRAW_RECORDS):  # a slice at a time bounds the (n, ka * kb) gather
-        part = slice(start, start + _DRAW_RECORDS)
-        flat = (u[part, None] >= cum[alpha[part], beta[part]]).sum(axis=1)
-        a_index[part], b_index[part] = flat // kb, flat % kb
-    del u  # freed before the last two columns are made, which sets simulate's peak memory
-    return RunLog(
-        scenario=b.scenario,
-        index=np.arange(n_runs),
-        alpha=alpha,
-        beta=beta,
-        a_index=a_index,
-        b_index=b_index,
-        t_choice_a=tca,
-        t_choice_b=tcb,
-        t_report=np.full(n_runs, float(g.T)),
-    )
+    def chunks():
+        for start in range(0, n_runs, _CHUNK_RECORDS):
+            m = min(_CHUNK_RECORDS, n_runs - start)
+            alpha, beta = alphas.integers(0, sa, size=m), betas.integers(0, sb, size=m)
+            u, pair = outcomes.random(m), alpha * sb + beta
+            flat = np.zeros(m, np.int64)  # the outcome pair: the number of levels at or below u
+            for level in levels:
+                flat += u >= level.take(pair)
+            yield (np.arange(start, start + m), alpha, beta, flat // kb, flat % kb,
+                   (choices_a.random(m) - 1.0) * g.T, (choices_b.random(m) - 1.0) * g.T, np.full(m, float(g.T)))
+
+    return chunks()
+
+
+def _column_generators(seed: int, stream: int, n_runs: int, settings: tuple[int, int]) -> list[np.random.Generator]:
+    """Generators for alpha, beta, the outcome uniforms and the two choice times, each placed where its column starts.
+
+    ``integers`` drawn in chunks follows the same sequence as one draw
+    (PCG64 keeps a spare 32-bit half in its state), but it may reject
+    draws, so where beta and the uniforms start is found by drawing and
+    dropping the settings a chunk at a time (about 7 ms per 1e6 runs on a
+    2-core x86-64).  ``random`` takes one 64-bit draw per value, so the
+    choice-time generators are the uniforms' one advanced by ``n_runs`` and
+    ``2 * n_runs`` draws.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(stream,))
+    generators = [np.random.default_rng(seq) for _ in range(5)]
+    for k, top in enumerate(settings, 1):
+        generators[k].bit_generator.state = generators[k - 1].bit_generator.state
+        for start in range(0, n_runs, _CHUNK_RECORDS):
+            generators[k].integers(0, top, size=min(_CHUNK_RECORDS, n_runs - start))
+    for k in (3, 4):
+        generators[k].bit_generator.state = generators[2].bit_generator.state
+        generators[k].bit_generator.advance((k - 2) * n_runs)
+    return generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +291,6 @@ _NUMBER_DTYPES = {key: np.int64 if slot == "d" else np.float64
 _COLUMN_DTYPES = {key: _NUMBER_DTYPES.get(key, np.int64) for key in _RECORD_KEYS}
 # The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
 _SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
-_CHUNK_RECORDS = 1 << 14  # records the writer formats per step
 _READ_BYTES = 1 << 20  # bytes the reader reads per block; a longer line grows its buffer
 _JOIN_RECORDS = 1 << 12  # records the writer lays out per block
 # Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
@@ -261,35 +301,49 @@ SETTING_PAIR_CAP = 1 << 16
 def write_run_log(log: RunLog, path) -> None:
     """Write the log as JSON Lines, one compact ``json.dumps`` object per record.
 
-    Records are formatted a chunk at a time from column slices, in numpy:
-    each field is a few 8-byte words of text, NUL-padded, laid between the
-    literal text of ``_RECORD_LINE`` in a block whose bytes, less their
-    NULs, are one write.  Times are written as ``repr`` writes them, as
-    ``json.dumps`` does: their digits come from the Schubfach algorithm,
-    and zeros, subnormals, NaN and the infinities go through ``repr``
-    itself.  A setting or outcome index outside the log's scenario raises
+    The log goes to ``write_run_chunks`` in slices of ``_CHUNK_RECORDS``
+    records.  A setting or outcome index outside the log's scenario raises
     MixedScenario, before the file is opened.
+    """
+    _check_indices(log)
+    columns = (log.index, log.alpha, log.beta, log.a_index, log.b_index, log.t_choice_a, log.t_choice_b, log.t_report)
+    write_run_chunks(log.scenario, (tuple(column[start:start + _CHUNK_RECORDS] for column in columns)
+                                    for start in range(0, len(log), _CHUNK_RECORDS)), path)
+
+
+def write_run_chunks(scenario: Scenario, chunks: Iterable[tuple[np.ndarray, ...]], path) -> None:
+    """Write each chunk of record columns, in ``_RECORD_KEYS`` order, as JSON Lines, holding one chunk at a time.
+
+    Records are formatted in numpy: each field is a few 8-byte words of
+    text, NUL-padded, laid between the literal text of ``_RECORD_LINE`` in
+    a block whose bytes, less their NULs, are one write.  Times are written
+    as ``repr`` writes them, as ``json.dumps`` does: their digits come from
+    the Schubfach algorithm, and zeros, subnormals, NaN and the infinities
+    go through ``repr`` itself.  Outcomes are indices into the scenario's
+    alphabets, and nothing checks that the indices fit it.
     """
     from . import numtext  # on the first write: a process that only reads never loads the formatters
 
-    _check_indices(log)
-    sides = (log.scenario.outcomes_a, log.scenario.outcomes_b)
+    sides = (scenario.outcomes_a, scenario.outcomes_b)
     symbols_a, symbols_b = (numtext.text_words(side.symbols)[:, 0] for side in sides)
+    # glibc's malloc hands the top of its heap back to the system whenever more than its trim
+    # threshold, at first 128 KiB, is free there, so each chunk's temporaries (about 5.4 MB at
+    # 16,384 records) would be page-faulted afresh.  Freeing a mapped block, never touched,
+    # raises that threshold to twice the block's size: here 8 MiB.
+    np.empty(_CHUNK_RECORDS << 8, np.uint8)
     with open(path, "wb") as handle:
-        for start in range(0, len(log), _CHUNK_RECORDS):
-            part = slice(start, start + _CHUNK_RECORDS)
+        for index, alpha, beta, a_index, b_index, tca, tcb, tr in chunks:
             # Report times repeat (simulate writes one value), so each distinct one is formatted
             # once; they are told apart by their bits, which keeps 0.0 and -0.0 apart.
-            report = np.asarray(log.t_report[part], dtype=np.float64)
-            bits, inverse = np.unique(report.view(np.int64), return_inverse=True)
+            bits, inverse = np.unique(np.asarray(tr, dtype=np.float64).view(np.int64), return_inverse=True)
             handle.writelines(_join_fields((  # held by no name, so freed before the next chunk's
-                numtext.integer_words(log.index[part]),
-                numtext.integer_words(log.alpha[part]),
-                numtext.integer_words(log.beta[part]),
-                symbols_a.take(log.a_index[part])[None],
-                symbols_b.take(log.b_index[part])[None],
-                numtext.float_words(log.t_choice_a[part]),
-                numtext.float_words(log.t_choice_b[part]),
+                numtext.integer_words(index),
+                numtext.integer_words(alpha),
+                numtext.integer_words(beta),
+                symbols_a.take(a_index)[None],
+                symbols_b.take(b_index)[None],
+                numtext.float_words(tca),
+                numtext.float_words(tcb),
                 numtext.float_words(bits.view(np.float64)).take(inverse.ravel(), axis=1),
             )))
 
@@ -362,11 +416,14 @@ def tally_run_log(path) -> Tally:
     return Tally(scenario, counts[:, :, :ka, :kb])
 
 
-def _setting_grid(path, seen: tuple[int, int], alpha: int, beta: int) -> tuple[int, int]:
-    """Setting counts that cover ``seen`` and the setting indices ``alpha`` and ``beta``, within ``SETTING_PAIR_CAP``."""
+def _setting_grid(path, lineno: int, seen: tuple[int, int], alpha: int, beta: int) -> tuple[int, int]:
+    """Setting counts that cover ``seen`` and the setting indices ``alpha`` and ``beta``, within ``SETTING_PAIR_CAP``.
+
+    Past the cap, SizeLimit names line ``lineno`` of ``path``.
+    """
     sa, sb = max(seen[0], alpha + 1), max(seen[1], beta + 1)
     if sa * sb > SETTING_PAIR_CAP:
-        raise SizeLimit(f"{path}: {sa} x {sb} settings exceed the cap of {SETTING_PAIR_CAP} setting pairs")
+        raise SizeLimit(f"{path}:{lineno}: {sa} x {sb} settings exceed the cap of {SETTING_PAIR_CAP} setting pairs")
     return sa, sb
 
 
@@ -428,7 +485,7 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[tuple[int, int], t
                 columns = _writer_form_columns(data, starts, group, full)
                 if columns is not None:
                     try:
-                        grid = _setting_grid(path, grid, int(columns[1].max()), int(columns[2].max()))
+                        grid = _setting_grid(path, lineno + first, grid, int(columns[1].max()), int(columns[2].max()))
                     except SizeLimit:  # read again through json, which names the record that passed the cap
                         columns = None
                 if columns is None:
@@ -482,7 +539,7 @@ def _json_columns(path, lines: list[bytes], first_lineno: int, grid: tuple[int, 
                 records.append(_json_record(line))
             except ValueError as fault:
                 raise SchemaError(f"{path}:{lineno}: {fault}") from fault
-            grid = _setting_grid(path, grid, records[-1][1], records[-1][2])
+            grid = _setting_grid(path, lineno, grid, records[-1][1], records[-1][2])
     return (list(map(np.array, zip(*records), _COLUMN_DTYPES.values())) if records else None), grid
 
 

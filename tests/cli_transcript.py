@@ -53,7 +53,8 @@ def _write_logs(out: Path) -> None:
     line 3, so its error names line 3.  ``cap-fault-6.jsonl`` and
     ``cap-fault-20001.jsonl`` hold 30,000 writer-form records whose line 1
     has alpha = beta = 300, past the setting-pair cap, and a bad symbol on
-    line 6 or line 20,001; the cap, the first fault, is named either way.
+    line 6 or line 20,001; the cap, the first fault, is named at line 1
+    either way.
     """
     records = [{"i": k, "alpha": k % 2, "beta": k // 2 % 2, "a": "+-"[k // 4 % 2], "b": "-+0"[k % 3],
                 "tca": -1e-07, "tcb": -2.5e-07, "tr": 1e-06} for k in range(12)]

@@ -121,6 +121,25 @@ class TestSimulateEstimate:
         assert stdout1.replace(str(out1), "") == stdout2.replace(str(out2), "")
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("chunk, runs", [(7, 1), (7, 6), (7, 7), (7, 8), (7, 26), (None, 1), (None, 20_000)])
+    def test_simulate_writes_the_library_log(self, tmp_path, capsys, monkeypatch, chained_target, chunk, runs):
+        # The CLI streams the log a chunk at a time; the bytes are those of the whole log written at once.
+        if chunk is not None:
+            monkeypatch.setattr(bb.runs, "_CHUNK_RECORDS", chunk)
+        behavior = bb.apply_fair_sampling(chained_target, 0.7, 0.9)
+        behavior_path = tmp_path / "behavior.json"
+        behavior_path.write_text(json.dumps(bb.behavior_to_json_dict(behavior)))
+        code, stdout, _ = run_cli(
+            capsys,
+            "simulate", "--behavior", str(behavior_path), "--runs", str(runs), "--seed", "11", "--stream", "3",
+            "--geometry", "400,1e-6", "--out", str(tmp_path / "cli.jsonl"),
+        )
+        assert code == 0
+        assert json.loads(stdout)["runs"] == runs
+        loaded = bb.behavior_from_json_dict(json.loads(behavior_path.read_text()))
+        bb.write_run_log(bb.simulate(loaded, runs, 11, bb.Geometry(400.0, 1e-6), stream=3), tmp_path / "lib.jsonl")
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
+
     def test_bad_geometry(self, capsys, uniform_file, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -332,7 +351,7 @@ class TestRunLogTimes:
         extra = ["--out", str(tmp_path / "est.json")] if command == "estimate" else ["--geometry", "400,1e-6"]
         code, stdout, err = run_cli(capsys, command, "--runs", str(log_path), *extra)
         assert (code, stdout) == (2, "")
-        assert "runs.jsonl: 2000001 x 1 settings exceed the cap of 65536 setting pairs" in err
+        assert "runs.jsonl:1: 2000001 x 1 settings exceed the cap of 65536 setting pairs" in err
 
 
 class TestFlagHandling:

@@ -1,6 +1,11 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from bellbox.errors import BellBoxError, EmptySettingPair, MixedScenario, Scenar
 S3 = bb.Scenario(3, 3)
 S2 = bb.Scenario(2, 2)
 GEOMETRY = bb.Geometry(400.0, 1e-6)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGeometry:
@@ -470,7 +476,7 @@ class TestRunLogStreaming:
         lines[3] = _record_line(3, beta=256)
         path.write_text("\n".join(lines) + "\n")
         for reader in (bb.read_run_log, bb.tally_run_log):
-            with pytest.raises(SizeLimit, match="256 x 257 settings exceed the cap of 65536"):
+            with pytest.raises(SizeLimit, match=r"runs\.jsonl:4: 256 x 257 settings exceed the cap of 65536"):
                 reader(path)
 
     @pytest.mark.parametrize("malformed", [6, 20_001])
@@ -489,7 +495,7 @@ class TestRunLogStreaming:
         path = tmp_path / "runs.jsonl"
         path.write_text("\n".join(lines) + "\n")
         for reader in (bb.read_run_log, bb.tally_run_log):
-            with pytest.raises(SizeLimit, match="301 x 301 settings exceed the cap of 65536"):
+            with pytest.raises(SizeLimit, match=r"runs\.jsonl:1: 301 x 301 settings exceed the cap of 65536"):
                 reader(path)
 
     @pytest.mark.parametrize(
@@ -843,23 +849,118 @@ class TestReadMemory:
         assert peaks[1] < _READ_PEAK_BOUND
 
 
-class TestSlicedDraw:
-    @pytest.mark.parametrize("ternary", [False, True])
-    def test_matches_the_whole_gather(self, monkeypatch, ternary):
-        # The outcomes drawn a slice at a time equal the (n, ka * kb) comparison made at once.
-        monkeypatch.setattr(runs, "_DRAW_RECORDS", 7)
-        behavior = bb.behavior_from_state(bb.SINGLET, bb.MeasurementPlan.from_degrees([0, 50, 100], [20, 70]))
-        if ternary:
-            behavior = bb.apply_fair_sampling(behavior, 0.6, 0.7)
-        sa, sb, ka, kb = behavior.scenario.shape
-        log = bb.simulate(behavior, 100, 8, GEOMETRY)
-        rng = np.random.default_rng(np.random.SeedSequence(8, spawn_key=(0,)))
-        alpha, beta, u = rng.integers(0, sa, size=100), rng.integers(0, sb, size=100), rng.random(100)
-        cum = behavior.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
-        cum[:, :, -1] = 1.0
-        flat = (u[:, None] >= cum[alpha, beta]).sum(axis=1)
-        np.testing.assert_array_equal(log.a_index, flat // kb)
-        np.testing.assert_array_equal(log.b_index, flat % kb)
+def _one_shot_simulate(b: bb.Behavior, n_runs: int, seed: int, g: bb.Geometry, stream: int = 0) -> bb.RunLog:
+    """The draw of whole columns in the documented order, with the (n, ka * kb) comparison made at once."""
+    sa, sb, ka, kb = b.scenario.shape
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    alpha = rng.integers(0, sa, size=n_runs)
+    beta = rng.integers(0, sb, size=n_runs)
+    u = rng.random(n_runs)
+    tca = (rng.random(n_runs) - 1.0) * g.T
+    tcb = (rng.random(n_runs) - 1.0) * g.T
+    cum = b.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
+    cum[:, :, -1] = 1.0
+    flat = (u[:, None] >= cum[alpha, beta]).sum(axis=1)
+    return bb.RunLog(b.scenario, np.arange(n_runs), alpha, beta, flat // kb, flat % kb, tca, tcb,
+                     np.full(n_runs, float(g.T)))
+
+
+def _chunk_behaviors() -> dict[str, bb.Behavior]:
+    plan = bb.MeasurementPlan.from_degrees([0, 50, 100], [20, 70])
+    singlet = bb.behavior_from_state(bb.SINGLET, plan)
+    return {
+        "binary-3x2": singlet,
+        "three-symbol-3x2": bb.apply_fair_sampling(singlet, 0.6, 0.7),
+        "binary-300x2": bb.uniform_behavior(bb.Scenario(300, 2)),
+        "three-symbol-2x300": bb.uniform_behavior(bb.Scenario(2, 300, bb.Alphabet.PLUS_MINUS,
+                                                              bb.Alphabet.PLUS_MINUS_NULL)),
+    }
+
+
+_CHUNK_BEHAVIORS = _chunk_behaviors()
+_SMALL_CHUNK = 7
+
+
+def _assert_same_log(log: bb.RunLog, reference: bb.RunLog) -> None:
+    assert log.scenario == reference.scenario
+    for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
+        assert getattr(log, field).dtype == getattr(reference, field).dtype, field
+        np.testing.assert_array_equal(getattr(log, field), getattr(reference, field), err_msg=field)
+
+
+class TestChunkedDraw:
+    @pytest.fixture()
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(runs, "_CHUNK_RECORDS", _SMALL_CHUNK)
+
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("name", list(_CHUNK_BEHAVIORS))
+    @pytest.mark.parametrize("n", [1, _SMALL_CHUNK - 1, _SMALL_CHUNK, _SMALL_CHUNK + 1, 3 * _SMALL_CHUNK + 5])
+    def test_matches_the_one_shot_draw(self, small_chunks, n, name, stream):
+        behavior = _CHUNK_BEHAVIORS[name]
+        _assert_same_log(bb.simulate(behavior, n, 8, GEOMETRY, stream=stream),
+                         _one_shot_simulate(behavior, n, 8, GEOMETRY, stream=stream))
+
+    def test_chunks_are_the_log_in_order(self, small_chunks):
+        behavior = _CHUNK_BEHAVIORS["three-symbol-3x2"]
+        chunks = list(runs.simulate_chunks(behavior, 3 * _SMALL_CHUNK + 5, 8, GEOMETRY, stream=3))
+        assert [chunk[0].size for chunk in chunks] == [_SMALL_CHUNK] * 3 + [5]
+        log = bb.simulate(behavior, 3 * _SMALL_CHUNK + 5, 8, GEOMETRY, stream=3)
+        for column, field in zip(zip(*chunks), ("index", "alpha", "beta", "a_index", "b_index",
+                                                "t_choice_a", "t_choice_b", "t_report")):
+            np.testing.assert_array_equal(np.concatenate(column), getattr(log, field), err_msg=field)
+
+    def test_matches_the_one_shot_draw_at_the_module_chunk(self):
+        behavior = _CHUNK_BEHAVIORS["three-symbol-3x2"]
+        for n in (runs._CHUNK_RECORDS + 1, 3 * runs._CHUNK_RECORDS + 5):
+            _assert_same_log(bb.simulate(behavior, n, 5, GEOMETRY, stream=3),
+                             _one_shot_simulate(behavior, n, 5, GEOMETRY, stream=3))
+
+    def test_bad_run_count_raised_before_any_chunk(self):
+        with pytest.raises(ValueError, match="n_runs must be >= 1"):
+            runs.simulate_chunks(bb.uniform_behavior(S3), 0, 1, GEOMETRY)
+
+    def test_seeded_log_bytes_pinned(self, tmp_path):
+        # The sha256 of this log as the one-shot draw and writer wrote it.
+        plan = bb.MeasurementPlan.from_degrees([120.0, 0.0, 60.0], [120.0, 0.0, 60.0])
+        behavior = bb.apply_fair_sampling(bb.behavior_from_state(bb.SINGLET, plan), 0.8, 0.9)
+        path = tmp_path / "runs.jsonl"
+        bb.write_run_log(bb.simulate(behavior, 100_000, 7919, GEOMETRY, stream=3), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fdb0e2210b6ffa04f3c47a85a1ada543258b89df976f5b6d0d87aa8d18d074f6"
+
+
+# Linux carries a process's peak RSS across fork and exec, so a child's ru_maxrss is at least the
+# peak of the process that spawned it: from pytest it would read pytest's own.  A bare interpreter,
+# far smaller than the child, spawns it and prints its exit code and ru_maxrss (KiB) from wait4.
+_CHILD_PEAK = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _simulate_child_peak_mb(tmp_path, n_runs: int) -> float:
+    """Peak RSS, in MB, of a ``bellbox simulate`` child writing ``n_runs`` records to /dev/null."""
+    behavior = tmp_path / "behavior.json"
+    plan = bb.MeasurementPlan.from_degrees([120.0, 0.0, 60.0], [120.0, 0.0, 60.0])
+    behavior.write_text(json.dumps(bb.behavior_to_json_dict(bb.behavior_from_state(bb.SINGLET, plan))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "bellbox.cli", "simulate", "--behavior", str(behavior), "--runs", str(n_runs),
+            "--seed", "7919", "--geometry", "400,1e-6", "--out", os.devnull]
+    report = subprocess.run([sys.executable, "-c", _CHILD_PEAK, *argv], env=env, capture_output=True, text=True,
+                            check=True)
+    code, peak_kib = map(int, report.stdout.split())
+    assert code == 0
+    return peak_kib / 1024.0
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+class TestSimulateMemory:
+    def test_cli_peak_does_not_grow_with_the_log(self, tmp_path):
+        small, large = (_simulate_child_peak_mb(tmp_path, n) for n in (200_000, 2_000_000))
+        assert large - small <= 2.0, f"peak RSS {small:.1f} MB at 2e5 runs, {large:.1f} MB at 2e6"
 
 
 def _word_texts(words: np.ndarray) -> list[str]:
