@@ -11,8 +11,10 @@ Two pictures of an inefficient detector are implemented side by side:
   three-outcome deterministic local strategies, for a local model whose
   coincidence statistics reproduce a target behavior at a given
   efficiency.  In "strict" mode the model's click rates must also be eta
-  for every setting, so from the observable singles and coincidence rates
-  it is indistinguishable from a fair-sampling experiment.
+  for every setting, so it matches a fair-sampling experiment's coincidences
+  and each side's click rate, but not the outcomes a side reports when only
+  it clicks, which fair sampling also fixes: a strict model can exist at an
+  eta where the fair-sampled table is nonlocal.
 
 Both modes ask one question of one LP, LP(u): w(u) = min 1'r s.t.
 M_coinc r = u p, r >= 0 (plus C_a r = 1, C_b r = 1 in strict mode).  A model

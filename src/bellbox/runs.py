@@ -11,9 +11,9 @@ id.  Identical (seed, stream, n_runs, behavior) reproduce the identical
 record stream bit-for-bit within one build; cross-language bit-exactness
 is not promised.  Draw order per simulation: alpha array, beta array,
 outcome uniforms, choice-time uniforms for A, then for B.  Records are
-drawn a chunk at a time (``simulate_chunks``) and still follow that order:
-each of the five columns has its own generator, started where one draw of
-the whole columns would reach it.
+drawn, laid out and parsed ``_CHUNK_RECORDS`` at a time, in that order
+whatever the size (``simulate_chunks``): each of the five columns has its
+own generator, started where one draw of the whole columns would reach it.
 
 Run logs are JSON Lines files.  The writer formats a chunk of records at
 a time in numpy: a time's digits are the Schubfach algorithm's shortest
@@ -38,6 +38,7 @@ import functools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -54,7 +55,7 @@ from .errors import (
 from .model import Alphabet, Behavior, BellFunctional, Scenario, evaluate_functional
 
 SPEED_OF_LIGHT = 299792458.0
-_CHUNK_RECORDS = 1 << 14  # records simulate draws, and the writer formats, per step
+_CHUNK_RECORDS = 1 << 12  # records per step: simulate draws, the writer lays out and the reader walks this many
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ class Geometry:
     def __post_init__(self):
         if not (0.0 < self.L < math.inf and 0.0 < self.T < math.inf):
             raise ValueError(f"L and T must be finite and positive, got {self.L}, {self.T}")
+        if not self.T > sys.float_info.min:  # else the latest choice time, -2**-53 * T, rounds to -0.0
+            raise ValueError(f"T must exceed {sys.float_info.min!r}, the least normal double, got {self.T}")
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,6 @@ _COLUMN_DTYPES = {key: _NUMBER_DTYPES.get(key, np.int64) for key in _RECORD_KEYS
 # The index of each symbol in every alphabet that has it: the two-symbol one is a prefix.
 _SYMBOL_CODES = {symbol: code for code, symbol in enumerate(Alphabet.PLUS_MINUS_NULL.symbols)}
 _READ_BYTES = 1 << 20  # bytes the reader reads per block; a longer line grows its buffer
-_JOIN_RECORDS = 1 << 12  # records the writer lays out per block
 # Most setting pairs, (largest alpha + 1) * (largest beta + 1), a run log may
 # name; it caps the count array of a read log at 4.7 MB.
 SETTING_PAIR_CAP = 1 << 16
@@ -326,17 +328,16 @@ def write_run_chunks(scenario: Scenario, chunks: Iterable[tuple[np.ndarray, ...]
 
     sides = (scenario.outcomes_a, scenario.outcomes_b)
     symbols_a, symbols_b = (numtext.text_words(side.symbols)[:, 0] for side in sides)
-    # glibc's malloc hands the top of its heap back to the system whenever more than its trim
-    # threshold, at first 128 KiB, is free there, so each chunk's temporaries (about 5.4 MB at
-    # 16,384 records) would be page-faulted afresh.  Freeing a mapped block, never touched,
-    # raises that threshold to twice the block's size: here 8 MiB.
-    np.empty(_CHUNK_RECORDS << 8, np.uint8)
+    # glibc's malloc hands the top of its heap back whenever more than its trim threshold, at
+    # first 128 KiB, is free there, so each chunk's temporaries would be page-faulted afresh.
+    # Freeing a mapped block, never touched, raises that threshold to twice its size: 8 MiB.
+    np.empty(_CHUNK_RECORDS << 10, np.uint8)
     with open(path, "wb") as handle:
         for index, alpha, beta, a_index, b_index, tca, tcb, tr in chunks:
             # Report times repeat (simulate writes one value), so each distinct one is formatted
             # once; they are told apart by their bits, which keeps 0.0 and -0.0 apart.
             bits, inverse = np.unique(np.asarray(tr, dtype=np.float64).view(np.int64), return_inverse=True)
-            handle.writelines(_join_fields((  # held by no name, so freed before the next chunk's
+            handle.write(_join_fields((  # held by no name, so freed before the next chunk's
                 numtext.integer_words(index),
                 numtext.integer_words(alpha),
                 numtext.integer_words(beta),
@@ -348,27 +349,19 @@ def write_run_chunks(scenario: Scenario, chunks: Iterable[tuple[np.ndarray, ...]
             )))
 
 
-def _join_fields(fields: tuple[np.ndarray, ...]) -> Iterator[bytearray]:
-    """The records whose fields are ``fields``, each (words, n) uint64 text, without their NUL bytes.
-
-    The records are laid out ``_JOIN_RECORDS`` at a time, which bounds the block's memory.
-    """
+def _join_fields(fields: tuple[np.ndarray, ...]) -> bytearray:
+    """The records whose fields are ``fields``, each (words, n) uint64 text, as one block without its NULs."""
     pieces = [piece.encode("ascii") for piece in _RECORD_PIECES]
     row, starts = bytearray(pieces[0]), []
     for field, piece in zip(fields, pieces[1:], strict=True):
         starts.append(len(row))
         row += bytes(8 * len(field)) + piece
-    records = fields[0].shape[1]
-    for first in range(0, records, _JOIN_RECORDS):
-        part = slice(first, min(first + _JOIN_RECORDS, records))
-        text = bytearray((part.stop - first) * len(row))
-        block = np.frombuffer(text, np.uint8).reshape(-1, len(row))
-        block[:] = np.frombuffer(row, np.uint8)
-        for field, start in zip(fields, starts):
-            slots = block[:, start:start + 8 * len(field)].view("<u8")
-            for j, words in enumerate(field):
-                slots[:, j] = words[part]
-        yield text.translate(None, b"\0")
+    text = bytearray(fields[0].shape[1] * len(row))
+    block = np.frombuffer(text, np.uint8).reshape(-1, len(row))
+    block[:] = np.frombuffer(row, np.uint8)
+    for field, start in zip(fields, starts):
+        block[:, start:start + 8 * len(field)].view("<u8")[:] = field.T
+    return text.translate(None, b"\0")
 
 
 def read_run_log(path) -> RunLog:
@@ -398,8 +391,8 @@ def tally_run_log(path) -> Tally:
     Equals ``tally(read_run_log(path))``, with the same checks and the same
     scenario inference.  Memory does not grow with the number of runs: one
     reused ``_READ_BYTES`` buffer (larger only to hold a longer line), its
-    line ends, and a walk's gathered copy of at most ``_WALK_LINES`` lines
-    (see ``_parse_run_log``).
+    line ends, and a walk's gathered copy of at most ``_CHUNK_RECORDS``
+    lines (see ``_parse_run_log``).
     """
     counts = np.zeros((0, 0, 3, 3), dtype=np.int64)  # (alpha, beta, a, b) over all three symbols
     for (sa, sb), (_, alpha, beta, a_code, b_code, _, _, _) in _parse_run_log(path, full=False):
@@ -444,7 +437,7 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[tuple[int, int], t
     ``_SYMBOL_CODES``.  Blank lines are skipped.  Beyond the schema, each
     record must keep the protocol's time order: both choices end before
     t=0 and the report is not before t=0.  A block's lines go in groups of
-    at most ``_WALK_LINES``.  A group whose every line is in the writer's
+    at most ``_CHUNK_RECORDS``.  A group whose every line is in the writer's
     own form is read by ``_writer_form_columns``, and its index and time
     columns are None unless ``full``.  Any other group is read line by line
     through ``_json_columns``: strict UTF-8, then ``_json_record``, which
@@ -457,9 +450,10 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[tuple[int, int], t
     ``_LINE_MAX + 1`` bytes of padding, or up to twice the longest line),
     a block's line ends (8 bytes a line; a read adds at most
     ``_READ_BYTES`` bytes and the carried-over tail holds no line end, so
-    8 MiB for a block of blank lines), and a group's gathered copy of at
-    most ``_WALK_LINES * (_LINE_MAX + 1)`` bytes (4.2 MB), held twice while
-    it is made.  With lines under 1 MiB, that is under 20 MiB.
+    8 MiB for a block of blank lines, found through a 1 MiB mask), and a
+    group's gathered copy of at most ``_CHUNK_RECORDS * (_LINE_MAX + 1)``
+    bytes (1.05 MB), held twice while it is made.  With lines under 1 MiB,
+    that is under 12 MiB.
     """
     size = _READ_BYTES
     data = np.empty(size + _LINE_MAX + 1, np.uint8)  # bytes past the read ones pad the automaton's gather
@@ -478,9 +472,10 @@ def _parse_run_log(path, full: bool = True) -> Iterator[tuple[tuple[int, int], t
             if last and filled and data[filled - 1] != ord("\n"):  # the last line may have no newline
                 data[filled] = ord("\n")
                 filled += 1
-            ends = np.flatnonzero(data[fresh:filled] == ord("\n")) + fresh
-            for first in range(0, ends.size, _WALK_LINES):
-                group = ends[first:first + _WALK_LINES]
+            ends = np.flatnonzero(data[fresh:filled] == ord("\n"))
+            ends += fresh
+            for first in range(0, ends.size, _CHUNK_RECORDS):
+                group = ends[first:first + _CHUNK_RECORDS]
                 starts = np.concatenate(([ends[first - 1] + 1 if first else 0], group[:-1] + 1))
                 columns = _writer_form_columns(data, starts, group, full)
                 if columns is not None:
@@ -596,7 +591,6 @@ def _json_record(line: str) -> tuple:
 # -99 or more no choice time underflows to -0.0.
 
 _LINE_MAX = 256  # longest line, in bytes without its newline, that the automaton reads
-_WALK_LINES = 1 << 14  # most lines the automaton walks at once, which bounds its gathered copy
 _DIGITS, _NONZERO = "0123456789", "123456789"
 _ACCEPT, _START = 1, 2  # state 0 rejects every byte
 

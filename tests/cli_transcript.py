@@ -16,7 +16,8 @@ The list covers every subcommand: singlet and product-state behaviors at
 2x2 to 5x5 and a 9x10 one, classify on each, inequality bounds, efficiency in
 both modes with ``--model-out``, simulate, estimate and audit at 2e5 runs,
 estimate and audit on four small logs in a form simulate never writes, and
-bad input, then estimate on two logs with two faults each.  The script exits 1 when a command's exit code is not the one
+bad input, then estimate on two logs with two faults each and simulate with
+a subnormal T.  The script exits 1 when a command's exit code is not the one
 listed for it, so it doubles as a smoke test.  pytest does not collect it.
 """
 
@@ -145,6 +146,8 @@ COMMANDS += [
     _cmd(2, "audit-not-utf8", "audit", "--runs", "not-utf8.jsonl", "--geometry", "400,1e-6"),
     _cmd(2, "estimate-cap-fault-6", "estimate", "--runs", "cap-fault-6.jsonl", "--out", "bad.json"),
     _cmd(2, "estimate-cap-fault-20001", "estimate", "--runs", "cap-fault-20001.jsonl", "--out", "bad.json"),
+    _cmd(2, "simulate-subnormal-T", "simulate", "--behavior", "chsh.json", "--runs", "100000", "--seed", "1",
+         "--geometry", "400,1e-320", "--out", "subnormal.jsonl"),
 ]
 
 

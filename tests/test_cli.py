@@ -378,9 +378,13 @@ class TestFlagHandling:
               "--out", "{out}"], "error: L and T must be finite and positive, got 400.0, inf"),
             (["audit", "--runs", "{runs}", "--geometry", "inf,1e-6"],
              "error: L and T must be finite and positive, got inf, 1e-06"),
+            (["simulate", "--behavior", "{behavior}", "--runs", "100000", "--seed", "1", "--geometry", "400,1e-320",
+              "--out", "{out}"], "error: T must exceed 2.2250738585072014e-308, the least normal double, got 1e-320"),
+            (["audit", "--runs", "{runs}", "--geometry", "400,1e-320"],
+             "error: T must exceed 2.2250738585072014e-308, the least normal double, got 1e-320"),
         ],
         ids=["angles", "nan-amplitudes", "literal-indices", "ternary-inequality", "simulate-infinite-T",
-             "audit-infinite-L"],
+             "audit-infinite-L", "simulate-subnormal-T", "audit-subnormal-T"],
     )
     def test_bad_values_exit_2(self, capsys, tmp_path, uniform_file, argv, message):
         runs_path = tmp_path / "runs.jsonl"

@@ -154,6 +154,23 @@ class TestConstructLoopholeModel:
     def test_chained_target_near_one_infeasible(self, chained_target):
         assert bb.construct_loophole_model(chained_target, 0.999, "strict") is None
 
+    def test_strict_model_need_not_be_a_fair_sampling_one(self):
+        # A strict model matches the coincidences and each side's click rate,
+        # not the outcomes a side reports when only it clicks: at eta = 0.85 a
+        # strict model exists, yet the fair-sampled table is nonlocal.
+        turn = math.radians(30.0)
+        state = bb.parse_state_spec(f"amps:{math.cos(turn)!r},0,0,0,0,0,{math.sin(turn)!r},0")
+        target = bb.behavior_from_state(state, bb.MeasurementPlan.from_degrees((339.8, 45.7), (311.3, 21.4)))
+        assert bb.critical_efficiency(target, mode="strict").eta_star == pytest.approx(0.8909, abs=1e-4)
+        model = bb.construct_loophole_model(target, 0.85, "strict")
+        assert model is not None
+        q = bb.model_behavior(model, S2.with_no_click())
+        np.testing.assert_allclose(bb.post_select(q)[1], 0.85**2, atol=1e-9)
+        np.testing.assert_allclose(q.p[:, :, :2, :].sum(axis=(2, 3)), 0.85, atol=1e-9)
+        fair = bb.apply_fair_sampling(target, 0.85, 0.85)
+        assert bb.classify(fair).kind is bb.ClassificationKind.WEAKLY_NONLOCAL
+        assert np.abs(q.p - fair.p).max() > 1e-3
+
     def test_weak_mode_is_no_harder(self, chained_target):
         assert bb.construct_loophole_model(chained_target, 0.5, "weak") is not None
 

@@ -33,6 +33,23 @@ class TestGeometry:
         with pytest.raises(ValueError, match="must be finite and positive"):
             bb.Geometry(*values)
 
+    def test_duration_above_the_least_normal_double(self, tmp_path):
+        # The latest choice time, (u - 1) * T at the largest u below 1, is -2**-53 * T:
+        # at T = 2**-1022 it rounds to -0.0, a choice at t=0 the readers refuse.
+        latest = math.nextafter(1.0, 0.0) - 1.0
+        assert latest * 2.0**-1022 == 0.0
+        with pytest.raises(ValueError, match=r"T must exceed 2\.2250738585072014e-308, .* got 2\.2250738585072014e-308"):
+            bb.Geometry(400.0, 2.0**-1022)
+        g = bb.Geometry(400.0, math.nextafter(2.0**-1022, math.inf))
+        assert latest * g.T < 0.0
+        log = bb.simulate(bb.uniform_behavior(S2), 2000, 5, g)
+        path = tmp_path / "runs.jsonl"
+        bb.write_run_log(log, path)
+        back = bb.read_run_log(path)
+        for field in ("t_choice_a", "t_choice_b", "t_report"):
+            np.testing.assert_array_equal(getattr(back, field), getattr(log, field))
+        np.testing.assert_array_equal(bb.tally_run_log(path).counts, bb.tally(log).counts)
+
 
 class TestLocalityAudit:
     def test_pass_case(self):
@@ -550,7 +567,7 @@ def _json_only(monkeypatch) -> None:
 def _small_reads(monkeypatch, block: int = 64, lines: int = 3) -> None:
     """Make the reader read ``block`` bytes at a time (below one record) and walk ``lines`` lines at a time."""
     monkeypatch.setattr(runs, "_READ_BYTES", block)
-    monkeypatch.setattr(runs, "_WALK_LINES", lines)
+    monkeypatch.setattr(runs, "_CHUNK_RECORDS", lines)
 
 
 def _no_json_columns(*args):
@@ -833,7 +850,7 @@ class TestReadMemory:
     @pytest.mark.parametrize("where", [0, 1 << 19, (1 << 20) - 300])
     def test_blank_lines_and_one_long_line(self, tmp_path, where):
         # A walk of a whole block would gather 2**20 lines of 257 bytes; groups of
-        # _WALK_LINES lines keep the gathered copy at 4.2 MB.
+        # _CHUNK_RECORDS lines keep the gathered copy at 1.05 MB.
         blank = b"\n" * (1 << 20)
         path = tmp_path / "runs.jsonl"
         path.write_bytes(blank[:where] + (_long_line(runs._LINE_MAX) + "\n").encode() + blank[where:])
@@ -1004,11 +1021,10 @@ class TestNumberText:
         np.random.default_rng(3).shuffle(values)
         assert _word_texts(numtext.integer_words(values)) == [str(v) for v in values.tolist()]
 
-    @pytest.mark.parametrize("chunks", [(3, 2), None])
-    def test_writer_matches_reference_on_extreme_numbers(self, tmp_path, monkeypatch, chunks):
-        if chunks is not None:
-            monkeypatch.setattr(runs, "_CHUNK_RECORDS", chunks[0])
-            monkeypatch.setattr(runs, "_JOIN_RECORDS", chunks[1])
+    @pytest.mark.parametrize("chunk", [3, None])
+    def test_writer_matches_reference_on_extreme_numbers(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(runs, "_CHUNK_RECORDS", chunk)
         times = _double_corpus()[::97]
         n = times.size
         log = bb.simulate(bb.apply_fair_sampling(bb.uniform_behavior(S3), 0.6, 0.7), n, 13, GEOMETRY)
