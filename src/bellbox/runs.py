@@ -4,16 +4,18 @@ One run draws the two settings independently and uniformly, then the
 outcome pair from the behavior's block, with synthetic timestamps: both
 choices end before t=0 and the joint outcome is reported at t=T.
 
-The random stream is NumPy's PCG64 (128-bit state, 64-bit output) seeded
-through ``SeedSequence(seed, spawn_key=(stream,))``, so one seed yields
-arbitrarily many statistically independent sub-streams via the ``stream``
+The random streams are NumPy's PCG64 (128-bit state, 64-bit output).  Each
+of a simulation's five drawn columns (alpha, beta, the outcome uniforms,
+the choice-time uniforms for A, then for B) is its own sub-stream, column
+k seeded through ``SeedSequence(seed, spawn_key=(stream, k))``, so one seed
+yields arbitrarily many statistically independent runs via the ``stream``
 id.  Identical (seed, stream, n_runs, behavior) reproduce the identical
 record stream bit-for-bit within one build; cross-language bit-exactness
-is not promised.  Draw order per simulation: alpha array, beta array,
-outcome uniforms, choice-time uniforms for A, then for B.  Records are
-drawn, laid out and parsed ``_CHUNK_RECORDS`` at a time, in that order
-whatever the size (``simulate_chunks``): each of the five columns has its
-own generator, started where one draw of the whole columns would reach it.
+is not promised.  Records are drawn, laid out and parsed
+``_CHUNK_RECORDS`` at a time (``simulate_chunks``), and no column's draw
+depends on another's, so the records do not depend on the chunk size and
+a log is prefix-stable: the first n records of a longer run are the n-run
+log of the same seed and stream.
 
 Run logs are JSON Lines files.  The writer formats a chunk of records at
 a time in numpy: a time's digits are the Schubfach algorithm's shortest
@@ -109,9 +111,10 @@ def simulate(b: Behavior, n_runs: int, seed: int, g: Geometry, stream: int = 0) 
     from the behavior's block at the drawn settings; choice times are
     uniform in [-T, 0) and every report lands exactly at t=T.  The columns
     are filled from ``simulate_chunks``, so this log holds the records the
-    CLI's ``simulate`` writes a chunk at a time.
+    CLI's ``simulate`` writes a chunk at a time, and its first n records
+    are the n-run log of the same seed and stream.
     """
-    chunks = simulate_chunks(b, n_runs, seed, g, stream)  # checks n_runs before any column is made
+    chunks = simulate_chunks(b, n_runs, seed, g, stream)  # checks its arguments before any column is made
     drawn = [np.empty(n_runs, dtype) for dtype in list(_COLUMN_DTYPES.values())[1:-1]]
     for index, *values, _ in chunks:
         for column, part in zip(drawn, values):
@@ -124,20 +127,22 @@ def simulate_chunks(b: Behavior, n_runs: int, seed: int, g: Geometry,
                     stream: int = 0) -> Iterator[tuple[np.ndarray, ...]]:
     """``simulate``'s record columns, in ``_RECORD_KEYS`` order, ``_CHUNK_RECORDS`` records at a time.
 
-    The records are those of one draw of each whole column in the module's
-    draw order; each column has its own generator, placed where that draw
-    starts it (see ``_column_generators``).  A record's outcome pair is the
-    number of its block's cumulative probabilities at or below its uniform.
-    ``n_runs`` is checked, and the generators placed, before the first
-    chunk is asked for, so a bad count raises before a file is opened.
+    Each drawn column, in the module's draw order k = 0..4, has its own
+    generator, seeded by ``SeedSequence(seed, spawn_key=(stream, k))``.  A
+    record's outcome pair is the number of its block's cumulative
+    probabilities at or below its uniform.  ``n_runs``, ``seed`` and
+    ``stream`` are checked before the first chunk is asked for, so a bad
+    value raises before a file is opened.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    for name, value, least in (("n_runs", n_runs, 1), ("seed", seed, 0), ("stream", stream, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     sa, sb, ka, kb = b.scenario.shape
     # levels[j, pair]: the probability of outcome pairs 0..j at a setting pair.  The top level,
     # 1 up to rounding, is left out: a uniform in [0, 1) is below 1, whatever the rounding.
     levels = b.p.reshape(sa * sb, ka * kb).cumsum(axis=1)[:, :-1].T.copy()
-    alphas, betas, outcomes, choices_a, choices_b = _column_generators(seed, stream, n_runs, (sa, sb))
+    alphas, betas, outcomes, choices_a, choices_b = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, k))) for k in range(5))
 
     def chunks():
         for start in range(0, n_runs, _CHUNK_RECORDS):
@@ -151,29 +156,6 @@ def simulate_chunks(b: Behavior, n_runs: int, seed: int, g: Geometry,
                    (choices_a.random(m) - 1.0) * g.T, (choices_b.random(m) - 1.0) * g.T, np.full(m, float(g.T)))
 
     return chunks()
-
-
-def _column_generators(seed: int, stream: int, n_runs: int, settings: tuple[int, int]) -> list[np.random.Generator]:
-    """Generators for alpha, beta, the outcome uniforms and the two choice times, each placed where its column starts.
-
-    ``integers`` drawn in chunks follows the same sequence as one draw
-    (PCG64 keeps a spare 32-bit half in its state), but it may reject
-    draws, so where beta and the uniforms start is found by drawing and
-    dropping the settings a chunk at a time (about 7 ms per 1e6 runs on a
-    2-core x86-64).  ``random`` takes one 64-bit draw per value, so the
-    choice-time generators are the uniforms' one advanced by ``n_runs`` and
-    ``2 * n_runs`` draws.
-    """
-    seq = np.random.SeedSequence(seed, spawn_key=(stream,))
-    generators = [np.random.default_rng(seq) for _ in range(5)]
-    for k, top in enumerate(settings, 1):
-        generators[k].bit_generator.state = generators[k - 1].bit_generator.state
-        for start in range(0, n_runs, _CHUNK_RECORDS):
-            generators[k].integers(0, top, size=min(_CHUNK_RECORDS, n_runs - start))
-    for k in (3, 4):
-        generators[k].bit_generator.state = generators[2].bit_generator.state
-        generators[k].bit_generator.advance((k - 2) * n_runs)
-    return generators
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +182,23 @@ class Tally:
         return self.counts.sum(axis=(2, 3))
 
 
+def _record_columns(log: RunLog) -> tuple[np.ndarray, ...]:
+    """The log's eight columns, in ``_RECORD_KEYS`` order."""
+    return log.index, log.alpha, log.beta, log.a_index, log.b_index, log.t_choice_a, log.t_choice_b, log.t_report
+
+
 def _check_indices(runs: RunLog) -> None:
-    """Raise MixedScenario when a setting or outcome index falls outside the log's scenario."""
-    sa, sb, ka, kb = runs.scenario.shape
-    for values, top in ((runs.alpha, sa), (runs.beta, sb), (runs.a_index, ka), (runs.b_index, kb)):
+    """Raise MixedScenario unless the log's columns are 1-D, one entry per record, and its indices fit its scenario.
+
+    The index, setting and outcome columns must have an integer dtype, and
+    each setting or outcome index must fall inside the log's scenario.
+    """
+    columns = _record_columns(runs)
+    if any(column.shape != (len(runs),) for column in columns):
+        raise MixedScenario(f"run log columns must be 1-D with one entry per record ({len(runs)})")
+    if not all(np.issubdtype(column.dtype, np.integer) for column in columns[:5]):
+        raise MixedScenario("run log index, setting and outcome columns must have an integer dtype")
+    for values, top in zip(columns[1:5], runs.scenario.shape):  # alpha, beta, a, b against sa, sb, ka, kb
         if values.size and (values.min() < 0 or values.max() >= top):
             raise MixedScenario("run log indices do not fit the scenario")
 
@@ -308,7 +303,7 @@ def write_run_log(log: RunLog, path) -> None:
     MixedScenario, before the file is opened.
     """
     _check_indices(log)
-    columns = (log.index, log.alpha, log.beta, log.a_index, log.b_index, log.t_choice_a, log.t_choice_b, log.t_report)
+    columns = _record_columns(log)
     write_run_chunks(log.scenario, (tuple(column[start:start + _CHUNK_RECORDS] for column in columns)
                                     for start in range(0, len(log), _CHUNK_RECORDS)), path)
 

@@ -382,9 +382,13 @@ class TestFlagHandling:
               "--out", "{out}"], "error: T must exceed 2.2250738585072014e-308, the least normal double, got 1e-320"),
             (["audit", "--runs", "{runs}", "--geometry", "400,1e-320"],
              "error: T must exceed 2.2250738585072014e-308, the least normal double, got 1e-320"),
+            (["simulate", "--behavior", "{behavior}", "--runs", "10", "--seed", "-1", "--geometry", "400,1e-6",
+              "--out", "{out}"], "error: seed must be >= 0, got -1"),
+            (["simulate", "--behavior", "{behavior}", "--runs", "10", "--seed", "1", "--stream", "-1",
+              "--geometry", "400,1e-6", "--out", "{out}"], "error: stream must be >= 0, got -1"),
         ],
         ids=["angles", "nan-amplitudes", "literal-indices", "ternary-inequality", "simulate-infinite-T",
-             "audit-infinite-L", "simulate-subnormal-T", "audit-subnormal-T"],
+             "audit-infinite-L", "simulate-subnormal-T", "audit-subnormal-T", "negative-seed", "negative-stream"],
     )
     def test_bad_values_exit_2(self, capsys, tmp_path, uniform_file, argv, message):
         runs_path = tmp_path / "runs.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -152,6 +153,24 @@ class TestTally:
         path = tmp_path / "runs.jsonl"
         with pytest.raises(MixedScenario, match="run log indices do not fit the scenario"):
             bb.write_run_log(one_run_log(S2, *record), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("columns, message", [
+        # Broadcast, a 1-entry b_index would be counted at b = 1 for all 5 records.
+        ({"b_index": np.array([1])}, "one entry per record"),
+        # Broadcast, a 1-entry time column would be written into every record.
+        ({"t_choice_b": np.array([-1e-7])}, "one entry per record"),
+        ({"t_report": np.array([1e-6])}, "one entry per record"),
+        # A beta of 1.7 would be written as "beta":1, and its count raise numpy's TypeError.
+        ({"beta": np.array([0, 1.7, 0, 1, 0])}, "integer dtype"),
+    ], ids=["short-b", "short-tcb", "short-tr", "float-beta"])
+    def test_malformed_columns_refused(self, tmp_path, columns, message):
+        log = dataclasses.replace(bb.simulate(bb.uniform_behavior(S2), 5, 1, GEOMETRY), **columns)
+        with pytest.raises(MixedScenario, match=message):
+            bb.tally(log)
+        path = tmp_path / "runs.jsonl"
+        with pytest.raises(MixedScenario, match=message):
+            bb.write_run_log(log, path)
         assert not path.exists()
 
     def test_totals_match_blocks(self):
@@ -832,7 +851,7 @@ class TestBlockEdges:
 
 
 # What a read holds at most, by the bound ``runs._parse_run_log`` states.
-_READ_PEAK_BOUND = 20 * 2**20
+_READ_PEAK_BOUND = 12 * 2**20
 
 
 def _tally_peak(path) -> int:
@@ -867,14 +886,15 @@ class TestReadMemory:
 
 
 def _one_shot_simulate(b: bb.Behavior, n_runs: int, seed: int, g: bb.Geometry, stream: int = 0) -> bb.RunLog:
-    """The draw of whole columns in the documented order, with the (n, ka * kb) comparison made at once."""
+    """Each whole column drawn at once from its own sub-stream, with the (n, ka * kb) comparison made at once."""
     sa, sb, ka, kb = b.scenario.shape
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    alpha = rng.integers(0, sa, size=n_runs)
-    beta = rng.integers(0, sb, size=n_runs)
-    u = rng.random(n_runs)
-    tca = (rng.random(n_runs) - 1.0) * g.T
-    tcb = (rng.random(n_runs) - 1.0) * g.T
+    alphas, betas, outcomes, choices_a, choices_b = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, k))) for k in range(5))
+    alpha = alphas.integers(0, sa, size=n_runs)
+    beta = betas.integers(0, sb, size=n_runs)
+    u = outcomes.random(n_runs)
+    tca = (choices_a.random(n_runs) - 1.0) * g.T
+    tcb = (choices_b.random(n_runs) - 1.0) * g.T
     cum = b.p.reshape(sa, sb, ka * kb).cumsum(axis=-1)
     cum[:, :, -1] = 1.0
     flat = (u[:, None] >= cum[alpha, beta]).sum(axis=1)
@@ -896,11 +916,12 @@ def _chunk_behaviors() -> dict[str, bb.Behavior]:
 
 _CHUNK_BEHAVIORS = _chunk_behaviors()
 _SMALL_CHUNK = 7
+_LOG_FIELDS = ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report")
 
 
 def _assert_same_log(log: bb.RunLog, reference: bb.RunLog) -> None:
     assert log.scenario == reference.scenario
-    for field in ("index", "alpha", "beta", "a_index", "b_index", "t_choice_a", "t_choice_b", "t_report"):
+    for field in _LOG_FIELDS:
         assert getattr(log, field).dtype == getattr(reference, field).dtype, field
         np.testing.assert_array_equal(getattr(log, field), getattr(reference, field), err_msg=field)
 
@@ -923,8 +944,7 @@ class TestChunkedDraw:
         chunks = list(runs.simulate_chunks(behavior, 3 * _SMALL_CHUNK + 5, 8, GEOMETRY, stream=3))
         assert [chunk[0].size for chunk in chunks] == [_SMALL_CHUNK] * 3 + [5]
         log = bb.simulate(behavior, 3 * _SMALL_CHUNK + 5, 8, GEOMETRY, stream=3)
-        for column, field in zip(zip(*chunks), ("index", "alpha", "beta", "a_index", "b_index",
-                                                "t_choice_a", "t_choice_b", "t_report")):
+        for column, field in zip(zip(*chunks), _LOG_FIELDS):
             np.testing.assert_array_equal(np.concatenate(column), getattr(log, field), err_msg=field)
 
     def test_matches_the_one_shot_draw_at_the_module_chunk(self):
@@ -932,6 +952,14 @@ class TestChunkedDraw:
         for n in (runs._CHUNK_RECORDS + 1, 3 * runs._CHUNK_RECORDS + 5):
             _assert_same_log(bb.simulate(behavior, n, 5, GEOMETRY, stream=3),
                              _one_shot_simulate(behavior, n, 5, GEOMETRY, stream=3))
+
+    @pytest.mark.parametrize("stream", [0, 3])
+    @pytest.mark.parametrize("n", [1, runs._CHUNK_RECORDS - 1, runs._CHUNK_RECORDS, runs._CHUNK_RECORDS + 1, 10_000])
+    def test_a_longer_run_extends_a_shorter_one(self, n, stream):
+        behavior = _CHUNK_BEHAVIORS["three-symbol-3x2"]
+        longer = bb.simulate(behavior, 20_000, 5, GEOMETRY, stream=stream)
+        prefix = bb.RunLog(longer.scenario, *(getattr(longer, field)[:n] for field in _LOG_FIELDS))
+        _assert_same_log(bb.simulate(behavior, n, 5, GEOMETRY, stream=stream), prefix)
 
     def test_bad_run_count_raised_before_any_chunk(self):
         with pytest.raises(ValueError, match="n_runs must be >= 1"):
@@ -944,7 +972,7 @@ class TestChunkedDraw:
         path = tmp_path / "runs.jsonl"
         bb.write_run_log(bb.simulate(behavior, 100_000, 7919, GEOMETRY, stream=3), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "fdb0e2210b6ffa04f3c47a85a1ada543258b89df976f5b6d0d87aa8d18d074f6"
+        assert digest == "23ac57d11842fee36b0619d90362ec897602ba8d145b3352a12dbf1617b3b7e9"
 
 
 # Linux carries a process's peak RSS across fork and exec, so a child's ru_maxrss is at least the
